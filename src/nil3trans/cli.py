@@ -2,7 +2,8 @@
 and meshes, run the verification suites.
 
 Subcommands: grim, bowl, catenoid, helicoid, planar-grim, limits, verify.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -193,6 +194,9 @@ def main(argv=None) -> int:
     except (SystemExit2, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         return 0
     except OSError as exc:

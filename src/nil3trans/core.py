@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Point:
-    """A point of Nil3 in global coordinates."""
+    """A point of Nil3 in global coordinates (or arrays of points, one per
+    sample, for the array-valued surface kernel and group law)."""
 
     x: float
     y: float

@@ -15,7 +15,9 @@ horizontal translation directions.
 
 Every constructed ``ProfileCurve`` carries per-sample mean curvature,
 translator residual and curvatures recomputed through the surface kernel,
-so the ODE solutions are cross-checked against the geometry.
+so the ODE solutions are cross-checked against the geometry.  The jet
+builders accept arrays of samples, so each profile is shaped by one kernel
+call per piece.
 """
 
 from __future__ import annotations
@@ -121,8 +123,9 @@ def grim_reaper_closed_form(lam: float, c: float, y: float) -> float:
     return math.sqrt(a * a + 1.0 / lam) * math.tan(theta)
 
 
-def grim_reaper_jet(lam: float, c: float, y: float, gamma: float, gamma_p: float) -> GraphJet:
-    """Graph jet of z = xy/2 + cx + gamma(y) at (x, y) = (0, y)."""
+def grim_reaper_jet(lam: float, c: float, y, gamma, gamma_p) -> GraphJet:
+    """Graph jet of z = xy/2 + cx + gamma(y) at (x, y) = (0, y); y, gamma and
+    gamma' may be arrays of samples."""
     _, gamma_pp = grim_reaper_rhs(lam, c, y, gamma, gamma_p)
     return GraphJet(
         x=0.0, y=y, u=gamma,
@@ -157,16 +160,8 @@ def solve_grim_reaper(params: GrimReaperParams,
     states = np.vstack([down.y[:0:-1], up.y])
     cols = {"gamma": states[:, 0].copy(), "gamma_prime": states[:, 1].copy()}
     if derived:
-        vfield = vertical_translation_field(lam)
-        for key in ("H", "residual", "K_gauss", "K_intrinsic"):
-            cols[key] = np.empty(len(ys))
-        for i, (y, (g, gp)) in enumerate(zip(ys, states)):
-            jet = grim_reaper_jet(lam, c, y, g, gp)
-            shape = graph_shape(lam, jet)
-            cols["H"][i] = shape.H
-            cols["residual"][i] = translator_residual(lam, shape, vfield)
-            cols["K_gauss"][i] = gaussian_curvature(shape)
-            cols["K_intrinsic"][i] = intrinsic_curvature(lam, jet, shape)
+        jet = grim_reaper_jet(lam, c, ys, cols["gamma"], cols["gamma_prime"])
+        cols.update(_shape_columns(lam, graph_shape(lam, jet), jet))
     diag = {
         "slab": sl,
         "a_numeric": float(down.t_end),
@@ -174,6 +169,19 @@ def solve_grim_reaper(params: GrimReaperParams,
         "termination": (down.termination, up.termination),
     }
     return ProfileCurve("grim", {"lam": lam, "c": c}, ys, cols, trajs, diag)
+
+
+def _shape_columns(lam: float, shape, graph_jet: GraphJet | None = None) -> dict:
+    """Per-sample H, vertical translator residual and Gaussian curvature,
+    plus the intrinsic curvature when the graph jet is given."""
+    cols = {
+        "H": shape.H,
+        "residual": translator_residual(lam, shape, vertical_translation_field(lam)),
+        "K_gauss": gaussian_curvature(shape),
+    }
+    if graph_jet is not None:
+        cols["K_intrinsic"] = intrinsic_curvature(lam, graph_jet, shape)
+    return cols
 
 
 def grim_reaper_on_window(lam: float, c: float, y_max: float,
@@ -211,9 +219,9 @@ def grim_reaper_on_window(lam: float, c: float, y_max: float,
 # rotationally invariant translators
 
 
-def rotational_rhs(lam: float, r: float, phi_p: float) -> float:
+def rotational_rhs(lam: float, r, phi_p):
     """phi'' for the rotational graph z = phi(r); singular at r = 0."""
-    if r <= 0:
+    if np.any(r <= 0):
         raise ValueError("rotational ODE is singular at r <= 0; use a series start")
     s = math.sqrt(lam)
     return 1.0 / s + 4.0 * phi_p / (r * (4.0 + lam * r * r)) * (
@@ -221,9 +229,8 @@ def rotational_rhs(lam: float, r: float, phi_p: float) -> float:
     )
 
 
-def radial_graph_jet(lam: float, r: float, phi: float, phi_p: float,
-                     phi_pp: float | None = None) -> GraphJet:
-    """Graph jet of z = phi(sqrt(x^2+y^2)) at (x, y) = (r, 0)."""
+def radial_graph_jet(lam: float, r, phi, phi_p, phi_pp=None) -> GraphJet:
+    """Graph jet of z = phi(sqrt(x^2+y^2)) at (x, y) = (r, 0), per sample."""
     if phi_pp is None:
         phi_pp = rotational_rhs(lam, r, phi_p)
     return GraphJet(
@@ -231,22 +238,6 @@ def radial_graph_jet(lam: float, r: float, phi: float, phi_p: float,
         u_x=phi_p, u_y=0.0,
         u_xx=phi_pp, u_xy=0.0, u_yy=phi_p / r,
     )
-
-
-def _radial_profile_columns(lam, rs, phis, psis):
-    vfield = vertical_translation_field(lam)
-    cols = {k: np.empty(len(rs)) for k in
-            ("phi", "psi", "H", "residual", "K_gauss", "K_intrinsic")}
-    for i, (r, p, q) in enumerate(zip(rs, phis, psis)):
-        jet = radial_graph_jet(lam, r, p, q)
-        shape = graph_shape(lam, jet)
-        cols["phi"][i] = p
-        cols["psi"][i] = q
-        cols["H"][i] = shape.H
-        cols["residual"][i] = translator_residual(lam, shape, vfield)
-        cols["K_gauss"][i] = gaussian_curvature(shape)
-        cols["K_intrinsic"][i] = intrinsic_curvature(lam, jet, shape)
-    return cols
 
 
 def solve_bowl(lam: float, r_max: float, n_samples: int = 1500,
@@ -264,14 +255,16 @@ def solve_bowl(lam: float, r_max: float, n_samples: int = 1500,
         ode.OdeProblem(rhs, (phi0, psi0), (delta, r_max), rtol=rtol, atol=atol))
     rs = np.linspace(delta, r_max, n_samples)
     states = traj(rs)
-    cols = _radial_profile_columns(lam, rs, states[:, 0], states[:, 1])
+    cols = {"phi": states[:, 0], "psi": states[:, 1]}
+    jet = radial_graph_jet(lam, rs, cols["phi"], cols["psi"])
+    cols.update(_shape_columns(lam, graph_shape(lam, jet), jet))
     return ProfileCurve("bowl", {"lam": lam, "r_max": r_max}, rs, cols, [traj],
                         {"termination": traj.termination})
 
 
-def catenoid_neck_rhs(lam: float, f: float, f_p: float) -> float:
+def catenoid_neck_rhs(lam: float, f, f_p):
     """f'' of the neck profile (the surface (f(z)cos v2, f(z)sin v2, z))."""
-    if f <= 0:
+    if np.any(f <= 0):
         raise ValueError("neck radius must stay positive")
     s = math.sqrt(lam)
     return 4.0 / (s * f * (4.0 + lam * f * f)) * (
@@ -319,9 +312,9 @@ def catenoid_neck(lam: float, f0: float, z_max: float,
     return f, (up, down)
 
 
-def neck_patch_jet(lam: float, z: float, f: float, f_p: float,
-                   f_pp: float | None = None, v2: float = 0.0) -> PatchJet:
-    """Patch jet of the revolution surface (f(v1)cos v2, f(v1)sin v2, v1)."""
+def neck_patch_jet(lam: float, z, f, f_p, f_pp=None, v2: float = 0.0) -> PatchJet:
+    """Patch jet of the revolution surface (f(v1)cos v2, f(v1)sin v2, v1) at
+    height z = v1, per sample."""
     if f_pp is None:
         f_pp = catenoid_neck_rhs(lam, f, f_p)
     cv, sv = math.cos(v2), math.sin(v2)
@@ -333,16 +326,19 @@ def neck_patch_jet(lam: float, z: float, f: float, f_p: float,
     return PatchJet(p, v1, w2, d1, d2)
 
 
-def choose_gluing_offset(lam: float, f0: float, eps_cap: float = 0.1):
+def choose_gluing_offset(lam: float, f0: float, eps_cap: float = 0.1,
+                         rtol: float = ode.DEFAULT_RTOL,
+                         atol: float = ode.DEFAULT_ATOL):
     """Largest eps <= eps_cap with f'' > 0 and f' strictly monotone on (0, 2*eps].
 
     The construction only needs some eps with these properties; they are
-    validated on a fine grid of the neck solution.
+    validated on a fine grid of the neck solution, integrated at the given
+    tolerances.
     """
-    f, _ = catenoid_neck(lam, f0, 2.0 * eps_cap)
+    f, _ = catenoid_neck(lam, f0, 2.0 * eps_cap, rtol=rtol, atol=atol)
     zs = np.linspace(1e-3, 2.0 * eps_cap, 400)
     vals = f(zs)
-    fpp = np.array([catenoid_neck_rhs(lam, fv, fpv) for fv, fpv in vals])
+    fpp = catenoid_neck_rhs(lam, vals[:, 0], vals[:, 1])
     good = (fpp > 0) & (np.diff(vals[:, 1], prepend=vals[0, 1] - 1e-16) > 0)
     if not good[0]:
         raise RuntimeError("neck solution is not convex near the apex")
@@ -364,9 +360,9 @@ def solve_catenoid(lam: float, f0: float, eps: float | None = None,
     if f0 <= 0:
         raise ValueError("f0 must be positive")
     if eps is None:
-        eps, f = choose_gluing_offset(lam, f0)
+        eps, f = choose_gluing_offset(lam, f0, rtol=rtol, atol=atol)
     else:
-        f, _ = catenoid_neck(lam, f0, 2.0 * eps)
+        f, _ = catenoid_neck(lam, f0, 2.0 * eps, rtol=rtol, atol=atol)
     c0p, c1p = f(eps)
     c0m, c1m = f(-eps)
     if c1p == 0.0 or c1m == 0.0:
@@ -380,43 +376,28 @@ def solve_catenoid(lam: float, f0: float, eps: float | None = None,
     arm_m = ode.integrate(
         ode.OdeProblem(rhs, (-eps, 1.0 / c1m), (c0m, r_max), rtol=rtol, atol=atol))
 
-    # sample the three pieces: lower arm (reversed), neck, upper arm
+    # sample the curve in order: lower arm from large r down, neck bottom to
+    # top, upper arm up; the two arms share one graph kernel call
     n_arm, n_neck = 700, 201  # odd neck count puts a sample exactly at z = 0
-    vfield = vertical_translation_field(lam)
-    rows = []  # (r, z, H, residual, K_gauss, piece)
-    for tag, arm in (("arm-", arm_m), ("arm+", arm_p)):
-        rs = np.geomspace(arm.t[0], r_max, n_arm)
-        states = arm(rs)
-        for r, (phi, psi) in zip(rs, states):
-            jet = radial_graph_jet(lam, r, phi, psi)
-            shape = graph_shape(lam, jet)
-            rows.append((r, phi, shape.H,
-                         translator_residual(lam, shape, vfield),
-                         gaussian_curvature(shape), tag))
+    rs = np.concatenate([np.geomspace(arm_m.t[0], r_max, n_arm)[::-1],
+                         np.geomspace(arm_p.t[0], r_max, n_arm)])
+    arms = np.vstack([arm_m(rs[:n_arm]), arm_p(rs[n_arm:])])
+    arm_jet = radial_graph_jet(lam, rs, arms[:, 0], arms[:, 1])
+    arm_cols = _shape_columns(lam, graph_shape(lam, arm_jet))
     zs = np.linspace(-eps, eps, n_neck)
-    for z in zs:
-        fv, fpv = f(z)
-        jet = neck_patch_jet(lam, z, fv, fpv)
-        shape = patch_shape(lam, jet)
-        rows.append((fv, z, shape.H,
-                     translator_residual(lam, shape, vfield),
-                     gaussian_curvature(shape), "neck"))
-    # order along the curve: lower arm from large r down, neck bottom->top, upper arm up
-    lower = sorted((r for r in rows if r[5] == "arm-"), key=lambda r: -r[0])
-    neck = sorted((r for r in rows if r[5] == "neck"), key=lambda r: r[1])
-    upper = sorted((r for r in rows if r[5] == "arm+"), key=lambda r: r[0])
-    ordered = lower + neck + upper
-    rr = np.array([row[0] for row in ordered])
-    zz = np.array([row[1] for row in ordered])
+    neck = f(zs)
+    neck_jet = neck_patch_jet(lam, zs, neck[:, 0], neck[:, 1])
+    neck_cols = _shape_columns(lam, patch_shape(lam, neck_jet))
+
+    def along_curve(arm_col, neck_col):
+        return np.concatenate([arm_col[:n_arm], neck_col, arm_col[n_arm:]])
+
+    rr = along_curve(rs, neck[:, 0])
+    zz = along_curve(arms[:, 0], zs)
     seg = np.hypot(np.diff(rr), np.diff(zz))
     s = np.concatenate([[0.0], np.cumsum(seg)])
-    cols = {
-        "r": rr,
-        "z": zz,
-        "H": np.array([row[2] for row in ordered]),
-        "residual": np.array([row[3] for row in ordered]),
-        "K_gauss": np.array([row[4] for row in ordered]),
-    }
+    cols = {"r": rr, "z": zz}
+    cols.update({k: along_curve(v, neck_cols[k]) for k, v in arm_cols.items()})
     diag = {
         "eps": eps,
         "junctions": {
@@ -448,7 +429,7 @@ class HelicoidParams:
             raise ValueError("seed distance r0 must be non-negative")
 
 
-def helicoid_curvature(lam: float, c: float, tau: float, nu: float) -> float:
+def helicoid_curvature(lam: float, c: float, tau, nu):
     """Prescribed curvature of the arc-length generating curve."""
     if c == 0:
         raise ValueError("pitch must be nonzero")
@@ -471,10 +452,10 @@ def helicoid_rhs(lam: float, c: float, state):
     return ct, st, helicoid_curvature(lam, c, tau, nu)
 
 
-def helicoid_patch_jet(lam: float, c: float, g1: float, g2: float, th: float,
-                       v2: float = 0.0) -> PatchJet:
-    """Patch jet of the helicoidal surface (e^{i v2} gamma(v1), c v2) at v2."""
-    ct, st = math.cos(th), math.sin(th)
+def helicoid_patch_jet(lam: float, c: float, g1, g2, th, v2: float = 0.0) -> PatchJet:
+    """Patch jet of the helicoidal surface (e^{i v2} gamma(v1), c v2) at v2,
+    per sample (g1, g2, th) of the generating curve."""
+    ct, st = np.cos(th), np.sin(th)
     tau = g1 * ct + g2 * st
     nu = -g1 * st + g2 * ct
     k = helicoid_curvature(lam, c, tau, nu)
@@ -519,26 +500,14 @@ def solve_helicoid(params: HelicoidParams, s_span: float = 50.0,
     states[pos] = fwd(ss[pos])
     states[~pos] = bwd(ss[~pos])
 
-    vfield = vertical_translation_field(lam)
-    cols = {k: np.empty(n_samples) for k in
-            ("gamma1", "gamma2", "theta_t", "tau", "nu", "r2", "k",
-             "H", "residual", "K_gauss")}
-    for i, (g1, g2, th) in enumerate(states):
-        ct, st = math.cos(th), math.sin(th)
-        tau = g1 * ct + g2 * st
-        nu = -g1 * st + g2 * ct
-        cols["gamma1"][i] = g1
-        cols["gamma2"][i] = g2
-        cols["theta_t"][i] = th
-        cols["tau"][i] = tau
-        cols["nu"][i] = nu
-        cols["r2"][i] = tau * tau + nu * nu
-        cols["k"][i] = helicoid_curvature(lam, c, tau, nu)
-        jet = helicoid_patch_jet(lam, c, g1, g2, th)
-        shape = patch_shape(lam, jet)
-        cols["H"][i] = shape.H
-        cols["residual"][i] = translator_residual(lam, shape, vfield)
-        cols["K_gauss"][i] = gaussian_curvature(shape)
+    g1, g2, th = states.T
+    ct, st = np.cos(th), np.sin(th)
+    tau = g1 * ct + g2 * st
+    nu = -g1 * st + g2 * ct
+    cols = {"gamma1": g1, "gamma2": g2, "theta_t": th, "tau": tau, "nu": nu,
+            "r2": tau * tau + nu * nu, "k": helicoid_curvature(lam, c, tau, nu)}
+    jet = helicoid_patch_jet(lam, c, g1, g2, th)
+    cols.update(_shape_columns(lam, patch_shape(lam, jet)))
     winding = np.unwrap(np.arctan2(cols["gamma2"], cols["gamma1"]))
     diag = {"winding": winding}
     return ProfileCurve(
@@ -682,10 +651,8 @@ def sweep_surface(profile: ProfileCurve, group: str | None = None,
     verts = np.empty((n_profile * n_sweep, 3))
     for j, u in enumerate(us):
         if group == "translation":
-            g = Point(u, 0.0, c * u)
-            for i, (px, py, pz) in enumerate(pts):
-                q = group_mul(g, Point(px, py, pz))
-                verts[j * n_profile + i] = (q.x, q.y, q.z)
+            q = group_mul(Point(u, 0.0, c * u), Point(*pts.T))
+            verts[j * n_profile:(j + 1) * n_profile] = np.column_stack(q.coords())
         elif group == "rotation":
             cu, su = math.cos(u), math.sin(u)
             block = np.column_stack([

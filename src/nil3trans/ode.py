@@ -6,10 +6,11 @@ dense output, the higher-order choice for the tight tolerances the grim
 reaper closed-form comparison runs at (Hairer, Norsett & Wanner, *Solving
 ODEs I*, sec. II.10).  Its global error per unit of ``rtol`` is several
 times that of the 5(4) pair, so the step controller runs at
-``rtol / RTOL_SAFETY``.  On top of it this module adds: typed problems and
-trajectories, event root polishing by bisection on the dense output,
-sup-norm blow-up termination, and second-order Taylor starts for the two
-rotationally invariant families whose ODEs are singular at the axis.
+``rtol / RTOL_SAFETY``, but never below scipy's floor of 100 eps.  On top
+of it this module adds: typed problems with finite data, trajectories,
+event root polishing by bisection on the dense output, sup-norm blow-up
+termination, and second-order Taylor starts for the two rotationally
+invariant families whose ODEs are singular at the axis.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ BLOW_UP_THRESHOLD = 1e10
 # reaches 1.3e-8 under DOP853 against 3e-9 under the 5(4) pair; a quarter of
 # the caller's rtol brings it back to about 3e-9 for 20% more steps.
 RTOL_SAFETY = 4.0
+# scipy raises any rtol below 100 eps to this floor with a warning
+RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -41,6 +44,9 @@ class OdeProblem:
     atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
+        if not (np.all(np.isfinite(self.t_span)) and np.all(np.isfinite(self.y0))
+                and math.isfinite(self.rtol) and math.isfinite(self.atol)):
+            raise ValueError("integration span, initial state and tolerances must be finite")
         t0, t1 = self.t_span
         if t0 == t1:
             raise ValueError("degenerate integration span")
@@ -117,7 +123,7 @@ def integrate(problem: OdeProblem, events: Sequence[Event] = (),
 
     res = solve_ivp(
         problem.rhs, (t0, t1), y0, method="DOP853",
-        rtol=problem.rtol / RTOL_SAFETY, atol=problem.atol,
+        rtol=max(problem.rtol / RTOL_SAFETY, RTOL_FLOOR), atol=problem.atol,
         dense_output=True, events=scipy_events,
     )
 

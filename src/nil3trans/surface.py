@@ -13,12 +13,18 @@ The mean curvature convention is H = tr(A g^{-1}) (sum of the principal
 curvatures).  Normals are oriented along G^{-1}(V1 x V2), where G is the
 frame Gram matrix diag(1, 1, lam); for graphs this gives the normal with
 positive Z-coefficient.
+
+The kernel is array-valued: every jet field may be a float or a numpy array
+(all arrays of one shape, one jet per sample), and every returned quantity
+then has that shape.  A float jet is the 0-d case of the same formulas, so
+one call shapes a whole sampled profile.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     FrameVector,
@@ -32,7 +38,8 @@ from .core import (
 
 @dataclass(frozen=True)
 class GraphJet:
-    """Second-order jet of a horizontal graph z = u(x, y) at one point."""
+    """Second-order jet of a horizontal graph z = u(x, y) at one point or
+    at an array of points."""
 
     x: float
     y: float
@@ -58,7 +65,8 @@ class GraphJet:
 
 @dataclass(frozen=True)
 class PatchJet:
-    """First-order data of a parametrized patch at one point.
+    """First-order data of a parametrized patch at one point or at an array
+    of points.
 
     ``v1`` and ``v2`` are the frame coefficients (a_i, b_i, c_i) of the
     tangent basis, ``d1``/``d2`` the derivatives of those coefficients in the
@@ -87,21 +95,21 @@ def graph_shape(lam: float, jet: GraphJet) -> ShapeData:
     a, b = jet.alpha, jet.beta
     w2 = 1.0 + lam * (a * a + b * b)
     g = ((1.0 + a * a * lam, a * b * lam), (a * b * lam, 1.0 + b * b * lam))
-    s = lam / math.sqrt(lam * w2)
+    s = lam / np.sqrt(lam * w2)
     A = (
         (s * (jet.u_xx + a * b * lam), s * (jet.u_xy + 0.5 * lam * (b * b - a * a))),
         (s * (jet.u_xy + 0.5 * lam * (b * b - a * a)), s * (jet.u_yy - a * b * lam)),
     )
     H = (
-        math.sqrt(lam)
-        / w2**1.5
+        np.sqrt(lam)
+        / (w2 * np.sqrt(w2))
         * (
             jet.u_xx * (1.0 + b * b * lam)
             + jet.u_yy * (1.0 + a * a * lam)
             - 2.0 * jet.u_xy * a * b * lam
         )
     )
-    nrm = math.sqrt(lam * w2)
+    nrm = np.sqrt(lam * w2)
     normal = FrameVector(jet.point, -a * lam / nrm, -b * lam / nrm, 1.0 / nrm)
     return ShapeData(g=g, A=A, H=H, normal=normal)
 
@@ -129,18 +137,15 @@ def patch_shape(lam: float, jet: PatchJet) -> ShapeData:
     g12 = _frame_dot(lam, v1, v2)
     g22 = _frame_dot(lam, v2, v2)
     det_g = g11 * g22 - g12 * g12
-    if det_g <= 1e-12 * max(1.0, g11 * g22):
+    if np.any(det_g <= 1e-12 * np.maximum(1.0, g11 * g22)):
         raise ValueError("tangent basis is (numerically) degenerate")
     w = _cross(v1, v2)
     n = (w[0], w[1], w[2] / lam)
-    n_norm = math.sqrt(_frame_dot(lam, n, n))
+    n_norm = np.sqrt(_frame_dot(lam, n, n))
     n = tuple(c / n_norm for c in n)
     normal = FrameVector(jet.point, *n)
-    h = [[0.0, 0.0], [0.0, 0.0]]
-    for i in (1, 2):
-        for j in (1, 2):
-            dv = patch_covariant(lam, jet, i, j)
-            h[i - 1][j - 1] = _frame_dot(lam, dv.coeffs(), n)
+    h = [[_frame_dot(lam, patch_covariant(lam, jet, i, j).coeffs(), n) for j in (1, 2)]
+         for i in (1, 2)]
     h12 = 0.5 * (h[0][1] + h[1][0])  # symmetrize round-off
     A = ((h[0][0], h12), (h12, h[1][1]))
     H = (A[0][0] * g22 - 2.0 * A[0][1] * g12 + A[1][1] * g11) / det_g
@@ -168,7 +173,7 @@ def gaussian_curvature(shape: ShapeData) -> float:
     """Extrinsic Gaussian curvature det(A g^{-1})."""
     (g11, g12), (_, g22) = shape.g
     det_g = g11 * g22 - g12 * g12
-    if det_g == 0.0:
+    if np.any(det_g == 0.0):
         raise ValueError("singular induced metric")
     (a11, a12), (_, a22) = shape.A
     return (a11 * a22 - a12 * a12) / det_g
@@ -193,7 +198,7 @@ def intrinsic_curvature(lam: float, jet: GraphJet, shape: ShapeData) -> float:
 
 def is_characteristic(jet: GraphJet, tol: float = 0.0) -> bool:
     """True when the tangent plane coincides with the horizontal distribution."""
-    return abs(jet.alpha) <= tol and abs(jet.beta) <= tol
+    return (np.abs(jet.alpha) <= tol) & (np.abs(jet.beta) <= tol)
 
 
 def translator_residual(

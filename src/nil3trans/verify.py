@@ -273,7 +273,8 @@ def _residual_checks():
 
 
 def _polyline_embedded(cat) -> bool:
-    """Segment-intersection sweep over the (r, z) profile polyline."""
+    """True when no two non-adjacent segments of the (r, z) profile
+    polyline cross."""
     r = cat.data["r"]
     z = cat.data["z"]
     p = np.column_stack([r, z])
@@ -283,22 +284,28 @@ def _polyline_embedded(cat) -> bool:
     q = p[::step]
     if not np.array_equal(q[-1], p[-1]):
         q = np.vstack([q, p[-1]])
-    m = len(q) - 1
-    for i in range(m):
-        for j in range(i + 2, m):
-            if _segments_cross(q[i], q[i + 1], q[j], q[j + 1]):
-                return False
+    # segment i against every non-adjacent later segment j > i + 1 at once
+    starts, ends = q[:-1], q[1:]
+    for i in range(len(starts) - 2):
+        if np.any(_segments_cross(starts[i], ends[i], starts[i + 2:], ends[i + 2:])):
+            return False
     return True
 
 
-def _segments_cross(a, b, c, d) -> bool:
+def _segments_cross(a, b, c, d):
+    """Proper crossing of segment ab with each segment cd (rows of c, d).
+
+    Touching and collinear contacts (an orientation within 1e-15 of zero)
+    do not count as crossings.
+    """
     def orient(p, q, r):
-        v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-        return 0 if abs(v) < 1e-15 else (1 if v > 0 else -1)
+        v = (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) \
+            - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0])
+        return np.where(np.abs(v) < 1e-15, 0, np.where(v > 0, 1, -1))
 
     o1, o2 = orient(a, b, c), orient(a, b, d)
     o3, o4 = orient(c, d, a), orient(c, d, b)
-    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
+    return (o1 != o2) & (o3 != o4) & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0)
 
 
 def _bowl_checks():

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nil3trans
 from nil3trans import exports
 from nil3trans.cli import build_parser, main
 from nil3trans.families import (
@@ -102,6 +106,22 @@ class TestCli:
     def test_invalid_parameter_exit_code(self, capsys):
         assert main(["bowl", "--lambda", "-1.0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_nonfinite_span_exits_promptly(self):
+        # a NaN span once sent the bowl integration into an endless loop
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(nil3trans.__file__)),
+                          os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "nil3trans.cli", "bowl", "--span", "nan"],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+    def test_numerical_failure_exit_code(self, capsys):
+        # the neck at lambda = 100, f0 = 0.01 is not convex near its apex
+        assert main(["catenoid", "--lambda", "100", "--f0", "0.01"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure:") and "Traceback" not in err
 
     def test_bad_direction_exit_code(self, capsys):
         assert main(["planar-grim", "--direction", "1;0"]) == 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nil3trans import families
 from nil3trans.core import Point, group_mul
 from nil3trans.families import (
     GrimReaperParams,
@@ -175,6 +176,18 @@ class TestCatenoid:
         # the curve starts and ends at the maximal radius
         assert prof.data["r"][0] == pytest.approx(150.0, rel=1e-12)
         assert prof.data["r"][-1] == pytest.approx(150.0, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [None, 0.05])
+    def test_tolerances_reach_the_neck(self, monkeypatch, eps):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs.get("rtol"), kwargs.get("atol")))
+            return catenoid_neck(*args, **kwargs)
+
+        monkeypatch.setattr(families, "catenoid_neck", spy)
+        solve_catenoid(1.0, 1.0, eps=eps, r_max=20.0, rtol=1e-9, atol=1e-11)
+        assert seen == [(1e-9, 1e-11)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

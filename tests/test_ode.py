@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,24 @@ class TestProblemValidation:
         prob = OdeProblem(lambda t, y: [math.inf], (1.0,), (0.0, 1.0))
         with pytest.raises(ValueError):
             integrate(prob)
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_span", (0.0, math.nan)), ("t_span", (-math.inf, 1.0)),
+        ("y0", (math.nan,)), ("rtol", math.nan), ("atol", math.inf),
+    ])
+    def test_nonfinite_data_rejected(self, field, value):
+        kwargs = {"y0": (1.0,), "t_span": (0.0, 1.0), field: value}
+        with pytest.raises(ValueError, match="finite"):
+            OdeProblem(lambda t, y: y, **kwargs)
+
+    def test_rtol_below_scipy_floor_is_clamped(self):
+        # rtol / RTOL_SAFETY falls under scipy's 100 eps floor here; the
+        # clamp keeps scipy from warning and the solve accurate
+        prob = OdeProblem(lambda t, y: y, (1.0,), (0.0, 1.0), rtol=5e-14, atol=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(prob)
+        assert traj.y_end[0] == pytest.approx(math.e, rel=1e-12)
 
     def test_bad_event_direction(self):
         with pytest.raises(ValueError):

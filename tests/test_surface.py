@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,11 +15,14 @@ from nil3trans.core import (
     vertical_translation_field,
 )
 from nil3trans.families import (
+    catenoid_neck,
     grim_reaper_closed_form,
     grim_reaper_jet,
     helicoid_patch_jet,
     neck_patch_jet,
+    radial_graph_jet,
     slab,
+    solve_bowl,
 )
 from nil3trans.surface import (
     GraphJet,
@@ -332,3 +336,75 @@ class TestIsometryInvariance:
         v2 = killing_eval(vertical_translation_field(lam), iso.apply(jet.point))
         assert metric(lam, pushed, v2) == pytest.approx(
             metric(lam, gs.normal, v), abs=1e-13)
+
+
+def stack_graph_jets(jets):
+    """One GraphJet whose fields are arrays, from a list of float jets."""
+    return GraphJet(*(np.array([getattr(j, f.name) for j in jets]) for f in fields(GraphJet)))
+
+
+def stack_patch_jets(jets):
+    """One PatchJet whose fields hold arrays, from a list of float jets."""
+    def stack(rows):
+        return tuple(np.array(col) for col in zip(*rows))
+
+    tangent = (stack([getattr(j, name) for j in jets]) for name in ("v1", "v2", "d1", "d2"))
+    return PatchJet(Point(*stack([j.point.coords() for j in jets])), *tangent)
+
+
+def shape_quantities(lam, shape):
+    vfield = vertical_translation_field(lam)
+    entries = [x for form in (shape.g, shape.A) for row in form for x in row]
+    return (shape.H, *entries, *shape.normal.coeffs(),
+            gaussian_curvature(shape), translator_residual(lam, shape, vfield))
+
+
+def assert_array_kernel_exact(lam, jets, stacked, shape_fn, extra=None):
+    """The array call equals the 0-d calls bit for bit, sample by sample."""
+    whole = shape_fn(lam, stacked)
+    per_sample = [shape_fn(lam, j) for j in jets]
+    columns = [np.broadcast_to(q, (len(jets),)) for q in shape_quantities(lam, whole)]
+    rows = np.array([shape_quantities(lam, s) for s in per_sample], dtype=float)
+    if extra is not None:
+        columns.append(extra(lam, stacked, whole))
+        rows = np.column_stack([rows, [extra(lam, j, s) for j, s in zip(jets, per_sample)]])
+    for k, col in enumerate(columns):
+        assert col.shape == (len(jets),)
+        assert np.array_equal(col, rows[:, k]), f"quantity {k} differs"
+
+
+class TestArrayKernel:
+    def test_graph_jets_from_grim_and_bowl(self):
+        rng = np.random.default_rng(53)
+        jets = []
+        lam, c = 1.7, 0.6
+        sl = slab(lam, c)
+        for y in rng.uniform(sl.a_endpoint + 0.1 * sl.width, sl.b_endpoint - 0.1 * sl.width, 20):
+            gp = grim_reaper_closed_form(lam, c, float(y))
+            jets.append(grim_reaper_jet(lam, c, float(y), float(rng.normal()), gp))
+        bowl = solve_bowl(lam, 30.0, n_samples=20)
+        for r, phi, psi in zip(bowl.t, bowl.data["phi"], bowl.data["psi"]):
+            jets.append(radial_graph_jet(lam, float(r), float(phi), float(psi)))
+        assert_array_kernel_exact(lam, jets, stack_graph_jets(jets), graph_shape,
+                                  extra=intrinsic_curvature)
+
+    def test_patch_jets_from_neck_and_helicoid(self):
+        rng = np.random.default_rng(59)
+        lam, c = 2.3, 1.1
+        f, _ = catenoid_neck(lam, 0.8, 0.2)
+        jets = [neck_patch_jet(lam, float(z), *(float(v) for v in f(z)))
+                for z in np.linspace(-0.2, 0.2, 21)]
+        for g1, g2, th in rng.uniform(-2.0, 2.0, (20, 3)):
+            jets.append(helicoid_patch_jet(lam, c, float(g1), float(g2), float(th)))
+        assert_array_kernel_exact(lam, jets, stack_patch_jets(jets), patch_shape)
+
+    def test_degenerate_sample_rejected(self):
+        good = PatchJet(Point(0, 0, 0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0,) * 6, (0,) * 6)
+        bad = PatchJet(Point(0, 0, 0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0,) * 6, (0,) * 6)
+        patch_shape(1.0, stack_patch_jets([good, good]))
+        with pytest.raises(ValueError):
+            patch_shape(1.0, stack_patch_jets([good, bad, good]))
+
+    def test_is_characteristic_per_sample(self):
+        jets = stack_graph_jets([plane_jet(0.0, 0.0), plane_jet(1.0, 0.0)])
+        assert is_characteristic(jets).tolist() == [True, False]
