@@ -11,7 +11,6 @@ from .core import (
     FrameVector,
     Isometry,
     KillingField,
-    MetricParam,
     ORIGIN,
     Point,
     connection_bilinear,
@@ -40,7 +39,6 @@ from .surface import (
     translator_residual,
 )
 from .ode import (
-    Event,
     OdeProblem,
     Trajectory,
     integrate,

@@ -40,8 +40,9 @@ def radial_linear_closed_form(a: float, b: float, c: float,
                               x0: float, y0: float, x):
     """Solution of y' = -(b/x)(y - a) + c/x^2 with y(x0) = y0.
 
-    For b = 1: y = a + (d + c*log x)/x; otherwise y = a + d/x^b +
-    c/((b-1)x).  In both cases y -> a as x -> infinity.
+    y = a + (y0 - a)(x0/x)^b + c*g/x with g = -expm1(-(b-1)L)/(b-1), L =
+    log(x/x0), and g = L at b = 1; expm1 keeps b near 1 free of cancellation.
+    y -> a as x -> infinity.
     """
     if b <= 0:
         raise ValueError("decay exponent b must be positive")
@@ -50,11 +51,9 @@ def radial_linear_closed_form(a: float, b: float, c: float,
     x = np.asarray(x, dtype=float)
     if np.any(x < x0):
         raise ValueError("evaluation points must satisfy x >= x0")
-    if b == 1.0:
-        d = (y0 - a) * x0 - c * math.log(x0)
-        return a + (d + c * np.log(x)) / x
-    d = (y0 - a - c / ((b - 1.0) * x0)) * x0**b
-    return a + d / x**b + c / ((b - 1.0) * x)
+    L = np.log(x / x0)
+    g = L if b == 1.0 else -np.expm1(-(b - 1.0) * L) / (b - 1.0)
+    return a + (y0 - a) * (x0 / x) ** b + c * g / x
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +92,14 @@ class AsymptoticFit:
     details: dict = field(default_factory=dict)
 
 
-def _arm_samples(lam: float, arm, n: int = 400):
-    """Tail samples (r, phi, psi) from a rotational arm."""
-    if isinstance(arm, ProfileCurve):
-        if arm.family == "bowl":
-            traj = arm.trajectories[0]
-        elif arm.family == "catenoid":
-            traj = arm.trajectories[1]  # upper arm
-        else:
-            raise ValueError(f"not a rotational profile: {arm.family!r}")
+def _arm_samples(arm: ProfileCurve, n: int = 400):
+    """Tail samples (r, phi, psi) from a bowl or catenoid profile."""
+    if arm.family == "bowl":
+        traj = arm.trajectories[0]
+    elif arm.family == "catenoid":
+        traj = arm.trajectories[1]  # upper arm
     else:
-        traj = arm
+        raise ValueError(f"not a rotational profile: {arm.family!r}")
     r_max = abs(traj.t_end)
     if r_max < 100.0:
         raise ValueError("insufficient tail: arm must extend to r >= 100")
@@ -113,17 +109,18 @@ def _arm_samples(lam: float, arm, n: int = 400):
     return r, states[:, 0], states[:, 1]
 
 
-def fit_rotational_asymptotics(lam: float, arm, n_samples: int = 400) -> AsymptoticFit:
+def fit_rotational_asymptotics(lam: float, arm: ProfileCurve,
+                               n_samples: int = 400) -> AsymptoticFit:
     """Fit the tail correction of a rotational arm in the regime of lambda.
 
-    ``arm`` is a bowl/catenoid ProfileCurve or a trajectory of the graph ODE.
+    ``arm`` is a bowl or catenoid ProfileCurve.
     Subcritical: least-squares slope of rho = phi - r^2/(2*sqrt(lam)) against
     log r.  Critical: slope zeta of eta = (psi - r/2)*r against log r, with
     the log^2 coefficient reported as 2*zeta.  Supercritical: constant-free
     fit of psi - r/sqrt(lam) = C1*r^(e-1) + C2/r giving exponent e and
     C0 = C1/e.
     """
-    r, phi, psi = _arm_samples(lam, arm, n_samples)
+    r, phi, psi = _arm_samples(arm, n_samples)
     s = math.sqrt(lam)
     rho = phi - r * r / (2.0 * s)
     q = psi - r / s

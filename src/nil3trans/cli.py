@@ -2,14 +2,14 @@
 and meshes, run the verification suites.
 
 Subcommands: grim, bowl, catenoid, helicoid, planar-grim, limits, verify.
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including a
+parameter outside its documented domain), 3 numerical failure (including
+overflow); 2 and 3 print one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import asymptotics as asym
@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _solve(args) -> fam.ProfileCurve:
     cmd = args.command
     if cmd == "grim":
-        if args.c < 0:
-            raise SystemExit2("--c must be non-negative (apply y -> -y for c < 0)")
         return fam.solve_grim_reaper(fam.GrimReaperParams(args.lam, args.c),
                                      rtol=args.rtol, atol=args.atol)
     if cmd == "bowl":
@@ -92,13 +90,9 @@ def _solve(args) -> fam.ProfileCurve:
         try:
             a1, a2 = (float(v) for v in args.direction.split(","))
         except ValueError:
-            raise SystemExit2("--direction must be two comma-separated numbers")
+            raise ValueError("--direction must be two comma-separated numbers")
         return fam.planar_grim_reaper((a1, a2))
     raise AssertionError(cmd)
-
-
-class SystemExit2(Exception):
-    """Usage error surfaced with exit code 2."""
 
 
 def _profile_report(profile: fam.ProfileCurve) -> dict:
@@ -124,7 +118,7 @@ def _emit(text: str, out) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        exports._write_text(out, text)
+        exports.write_file(out, text)
         print(f"wrote {out}")
 
 
@@ -133,9 +127,7 @@ def _run_family(args) -> int:
     if args.format == "csv":
         _emit(exports.csv_text(profile), args.out)
     elif args.format == "obj":
-        rng = getattr(args, "span", 5.0)
-        sweep_range = (-rng, rng)
-        mesh = fam.sweep_surface(profile, sweep_range=sweep_range)
+        mesh = fam.sweep_surface(profile, sweep_range=(-args.span, args.span))
         _emit(exports.obj_text(mesh), args.out)
     else:
         _emit(exports.report_text(_profile_report(profile)), args.out)
@@ -175,7 +167,7 @@ def _run_verify(args) -> int:
     print(f"# suite {args.suite}: {c['passed']}/{c['total']} checks passed",
           file=sys.stderr)
     if args.out is not None:
-        exports.export_report(report, args.out)
+        exports.write_file(args.out, exports.report_text(report))
         print(f"wrote {args.out}", file=sys.stderr)
     elif args.format == "json":
         sys.stdout.write(exports.report_text(report))
@@ -191,10 +183,10 @@ def main(argv=None) -> int:
         if args.command == "limits":
             return _run_limits(args)
         return _run_family(args)
-    except (SystemExit2, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

@@ -47,21 +47,6 @@ def group_inv(p: Point) -> Point:
 
 
 @dataclass(frozen=True)
-class MetricParam:
-    """Parameter lam > 0 of the metric family g_lam."""
-
-    lam: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-
-    @property
-    def sqrt(self) -> float:
-        return math.sqrt(self.lam)
-
-
-@dataclass(frozen=True)
 class FrameVector:
     """Tangent vector at ``base`` in left-invariant frame coefficients (X, Y, Z)."""
 
@@ -91,7 +76,7 @@ def frame_vector_from_coordinate(base: Point, vx: float, vy: float, vz: float) -
     return FrameVector(base, vx, vy, vz + 0.5 * base.y * vx - 0.5 * base.x * vy)
 
 
-def metric(lam: MetricParam | float, v: FrameVector, w: FrameVector) -> float:
+def metric(lam: float, v: FrameVector, w: FrameVector) -> float:
     """Inner product g_lam(v, w); v and w must share the same base point.
 
     The frame (X, Y, lam^{-1/2} Z) is orthonormal, hence ||Z||^2 = lam.
@@ -102,12 +87,12 @@ def metric(lam: MetricParam | float, v: FrameVector, w: FrameVector) -> float:
     return v.cX * w.cX + v.cY * w.cY + lam * v.cZ * w.cZ
 
 
-def norm(lam: MetricParam | float, v: FrameVector) -> float:
+def norm(lam: float, v: FrameVector) -> float:
     return math.sqrt(metric(lam, v, v))
 
 
 def _lam_value(lam) -> float:
-    lam = lam.lam if isinstance(lam, MetricParam) else float(lam)
+    lam = float(lam)
     if lam <= 0:
         raise ValueError("lambda must be positive")
     return lam

@@ -53,10 +53,6 @@ def csv_text(profile: ProfileCurve) -> str:
     return out.getvalue()
 
 
-def export_csv(profile: ProfileCurve, path) -> None:
-    _write_text(path, csv_text(profile))
-
-
 def parse_csv(path):
     """Re-parse an exported CSV; returns (column names, float array)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -79,21 +75,14 @@ def obj_text(mesh: Mesh, scalar: str = "H") -> str:
     return out.getvalue()
 
 
-def export_obj(mesh: Mesh, path, scalar: str = "H") -> None:
-    _write_text(path, obj_text(mesh, scalar))
-
-
 def report_text(report: dict) -> str:
     payload = dict(report)
     payload["schema"] = SCHEMA_VERSION
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def export_report(report: dict, path) -> None:
-    _write_text(path, report_text(report))
-
-
-def _write_text(path, text: str) -> None:
+def write_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` with LF line ends; the error names the path."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -244,9 +244,9 @@ def solve_bowl(lam: float, r_max: float, n_samples: int = 1500,
                rtol: float = ode.DEFAULT_RTOL,
                atol: float = ode.DEFAULT_ATOL) -> ProfileCurve:
     """The entire rotational graph, regular at the axis via a series start."""
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
     delta, (phi0, psi0) = ode.series_start("bowl-origin", lam)
+    if not r_max > delta:
+        raise ValueError(f"r_max must exceed the series start r = {delta:g}")
 
     def rhs(r, state):
         return state[1], rotational_rhs(lam, r, state[1])
@@ -326,17 +326,22 @@ def neck_patch_jet(lam: float, z, f, f_p, f_pp=None, v2: float = 0.0) -> PatchJe
     return PatchJet(p, v1, w2, d1, d2)
 
 
-def choose_gluing_offset(lam: float, f0: float, eps_cap: float = 0.1,
+# upper bound on the gluing offset eps of the catenoid neck
+GLUING_EPS_CAP = 0.1
+
+
+def choose_gluing_offset(lam: float, f0: float,
                          rtol: float = ode.DEFAULT_RTOL,
                          atol: float = ode.DEFAULT_ATOL):
-    """Largest eps <= eps_cap with f'' > 0 and f' strictly monotone on (0, 2*eps].
+    """Largest eps <= GLUING_EPS_CAP with f'' > 0 and f' strictly monotone on
+    (0, 2*eps].
 
     The construction only needs some eps with these properties; they are
     validated on a fine grid of the neck solution, integrated at the given
     tolerances.
     """
-    f, _ = catenoid_neck(lam, f0, 2.0 * eps_cap, rtol=rtol, atol=atol)
-    zs = np.linspace(1e-3, 2.0 * eps_cap, 400)
+    f, _ = catenoid_neck(lam, f0, 2.0 * GLUING_EPS_CAP, rtol=rtol, atol=atol)
+    zs = np.linspace(1e-3, 2.0 * GLUING_EPS_CAP, 400)
     vals = f(zs)
     fpp = catenoid_neck_rhs(lam, vals[:, 0], vals[:, 1])
     good = (fpp > 0) & (np.diff(vals[:, 1], prepend=vals[0, 1] - 1e-16) > 0)
@@ -344,29 +349,29 @@ def choose_gluing_offset(lam: float, f0: float, eps_cap: float = 0.1,
         raise RuntimeError("neck solution is not convex near the apex")
     bad = np.nonzero(~good)[0]
     z_ok = zs[-1] if len(bad) == 0 else zs[bad[0] - 1]
-    return min(eps_cap, 0.5 * z_ok), f
+    return min(GLUING_EPS_CAP, 0.5 * z_ok), f
 
 
-def solve_catenoid(lam: float, f0: float, eps: float | None = None,
-                   r_max: float = 200.0,
+def solve_catenoid(lam: float, f0: float, r_max: float = 200.0,
                    rtol: float = ode.DEFAULT_RTOL,
                    atol: float = ode.DEFAULT_ATOL) -> ProfileCurve:
     """Glue the neck solution to two graphical arms into the full curve.
 
-    The neck is integrated on [-eps, eps]; at the junctions the arms solve the
-    rotational graph ODE with matching conditions phi(c0) = +-eps,
-    phi'(c0) = 1/c1 where c0 = f(+-eps), c1 = f'(+-eps).
+    The neck is integrated on [-eps, eps], eps from ``choose_gluing_offset``;
+    at the junctions the arms solve the rotational graph ODE out to r_max
+    with matching conditions phi(c0) = +-eps, phi'(c0) = 1/c1 where
+    c0 = f(+-eps), c1 = f'(+-eps).
     """
     if f0 <= 0:
         raise ValueError("f0 must be positive")
-    if eps is None:
-        eps, f = choose_gluing_offset(lam, f0, rtol=rtol, atol=atol)
-    else:
-        f, _ = catenoid_neck(lam, f0, 2.0 * eps, rtol=rtol, atol=atol)
+    eps, f = choose_gluing_offset(lam, f0, rtol=rtol, atol=atol)
     c0p, c1p = f(eps)
     c0m, c1m = f(-eps)
     if c1p == 0.0 or c1m == 0.0:
-        raise RuntimeError("gluing slope vanished; retry with a larger eps")
+        raise RuntimeError("gluing slope vanished at the neck junction")
+    if not r_max > max(c0p, c0m):
+        raise ValueError(f"r_max must exceed the junction radius "
+                         f"{max(c0p, c0m):.6g} of the neck")
 
     def rhs(r, state):
         return state[1], rotational_rhs(lam, r, state[1])
@@ -485,6 +490,8 @@ def solve_helicoid(params: HelicoidParams, s_span: float = 50.0,
     Normalization: gamma(0) = (r0, 0) with tangent angle pi/2, so tau(0) = 0
     and the closest point lies on the positive x-axis.
     """
+    if not s_span > 0:
+        raise ValueError("s_span must be positive")
     lam, c, r0 = params.lam, params.pitch, params.r0
 
     def rhs(s, state):
@@ -539,8 +546,8 @@ def planar_grim_reaper(direction, n_samples: int = 2001,
     """
     a1, a2 = float(direction[0]), float(direction[1])
     speed = math.hypot(a1, a2)
-    if speed == 0:
-        raise ValueError("direction must be nonzero")
+    if not 0.0 < speed < math.inf:
+        raise ValueError("direction must be finite and nonzero")
     width = math.pi / speed
     xs = np.linspace(-0.5 * width + margin / speed, 0.5 * width - margin / speed,
                      n_samples)
@@ -619,18 +626,11 @@ def _adaptive_indices(profile: ProfileCurve, n: int):
     return np.unique(idx)
 
 
-def sweep_surface(profile: ProfileCurve, group: str | None = None,
-                  n_profile: int = 100, n_sweep: int = 60,
+def sweep_surface(profile: ProfileCurve, n_profile: int = 100, n_sweep: int = 60,
                   sweep_range: tuple | None = None,
                   max_vertices: int = 100_000) -> Mesh:
-    """Sweep a profile curve by its one-parameter group into a quad mesh."""
-    expected = _FAMILY_GROUP[profile.family]
-    if group is None:
-        group = expected
-    if group != expected:
-        raise ValueError(
-            f"group {group!r} does not match family {profile.family!r} (expected {expected!r})")
-
+    """Sweep a profile curve by its family's one-parameter group into a quad mesh."""
+    group = _FAMILY_GROUP[profile.family]
     if n_profile * n_sweep > max_vertices:
         n_profile = max(2, max_vertices // n_sweep)
     pts, scalars = _profile_points(profile)

@@ -1,5 +1,5 @@
-"""Adaptive Runge-Kutta integration with events, blow-up detection and
-series starts at singular points.
+"""Adaptive Runge-Kutta integration with blow-up detection and series
+starts at singular points.
 
 The integrator is the Dormand-Prince 8(5,3) pair (scipy's ``DOP853``) with
 dense output, the higher-order choice for the tight tolerances the grim
@@ -7,16 +7,16 @@ reaper closed-form comparison runs at (Hairer, Norsett & Wanner, *Solving
 ODEs I*, sec. II.10).  Its global error per unit of ``rtol`` is several
 times that of the 5(4) pair, so the step controller runs at
 ``rtol / RTOL_SAFETY``, but never below scipy's floor of 100 eps.  On top
-of it this module adds: typed problems with finite data, trajectories,
-event root polishing by bisection on the dense output, sup-norm blow-up
-termination, and second-order Taylor starts for the two rotationally
-invariant families whose ODEs are singular at the axis.
+of it this module adds: typed problems with finite data, trajectories whose
+dense output refuses to extrapolate, the sup-norm blow-up stop (the one
+stopping rule the constructions need), and second-order Taylor starts for
+the two rotationally invariant families whose ODEs are singular at the axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,26 +50,10 @@ class OdeProblem:
         t0, t1 = self.t_span
         if t0 == t1:
             raise ValueError("degenerate integration span")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.y0)
-
-
-@dataclass(frozen=True)
-class Event:
-    """Scalar event function with direction filter and record/terminate action."""
-
-    id: str
-    fn: Callable
-    direction: str = "any"  # rising | falling | any
-    terminal: bool = False
-
-    def __post_init__(self):
-        if self.direction not in ("rising", "falling", "any"):
-            raise ValueError(f"bad event direction {self.direction!r}")
+        if not 0.0 < self.rtol < 1.0:
+            raise ValueError(f"rtol must lie in (0, 1), got {self.rtol:g}")
+        if self.atol <= 0:
+            raise ValueError("atol must be positive")
 
 
 @dataclass
@@ -78,14 +62,18 @@ class Trajectory:
 
     t: np.ndarray
     y: np.ndarray  # shape (n_samples, dimension)
-    termination: str  # span_end | event:<id> | blow_up | step_underflow
-    events: dict = field(default_factory=dict)  # id -> list of (t, y)
+    termination: str  # span_end | blow_up | step_underflow
     sol: Callable | None = None
 
     def __call__(self, t):
-        """Dense-output evaluation; accepts scalars or arrays."""
+        """Dense-output evaluation on [t[0], t[-1]]; accepts scalars or arrays."""
         if self.sol is None:
             raise ValueError("trajectory has no dense output")
+        lo, hi = sorted((self.t[0], self.t[-1]))
+        ts = np.asarray(t)
+        if not (np.all(ts >= lo) and np.all(ts <= hi)):
+            raise ValueError(f"dense output requested outside the integrated "
+                             f"range [{lo:.6g}, {hi:.6g}] ({self.termination})")
         out = self.sol(t)
         return out.T if np.ndim(t) else out
 
@@ -98,13 +86,13 @@ class Trajectory:
         return self.y[-1]
 
 
-def integrate(problem: OdeProblem, events: Sequence[Event] = (),
+def integrate(problem: OdeProblem,
               blow_up_threshold: float = BLOW_UP_THRESHOLD) -> Trajectory:
-    """Integrate ``problem``, locating ``events`` and stopping on blow-up.
+    """Integrate ``problem``, stopping on blow-up.
 
-    Event roots are polished by bisection on the dense output to ~1e-12 in t.
     Termination is ``blow_up`` once the sup-norm of the state exceeds the
-    threshold, ``step_underflow`` if the step controller gives up.
+    threshold (the stop is located on the dense output by scipy's event
+    root finder), ``step_underflow`` if the step controller gives up.
     """
     t0, t1 = problem.t_span
     y0 = np.asarray(problem.y0, dtype=float)
@@ -112,77 +100,27 @@ def integrate(problem: OdeProblem, events: Sequence[Event] = (),
     if not np.all(np.isfinite(f0)):
         raise ValueError("right-hand side is not finite at the initial state")
 
-    scipy_events = []
-    for ev in events:
-        scipy_events.append(_wrap_event(ev.fn, ev))
-    blow_ev = _wrap_event(
-        lambda t, y: blow_up_threshold - np.max(np.abs(y)),
-        Event("__blow_up__", None, "falling", True),
-    )
-    scipy_events.append(blow_ev)
+    def blow_up(t, y):
+        return blow_up_threshold - np.max(np.abs(y))
+
+    blow_up.terminal = True
+    blow_up.direction = -1.0
 
     res = solve_ivp(
         problem.rhs, (t0, t1), y0, method="DOP853",
         rtol=max(problem.rtol / RTOL_SAFETY, RTOL_FLOOR), atol=problem.atol,
-        dense_output=True, events=scipy_events,
+        dense_output=True, events=blow_up,
     )
 
-    recorded: dict = {ev.id: [] for ev in events}
-    for k, ev in enumerate(events):
-        for t_ev in res.t_events[k]:
-            t_ref = _refine_event(res.sol, ev, t_ev, res.t)
-            recorded[ev.id].append((t_ref, res.sol(t_ref).copy()))
-
-    termination = "span_end"
-    t_stop = None
-    if res.status == 1:  # a terminal event fired
-        if len(res.t_events[-1]) > 0:
-            termination = "blow_up"
-            t_stop = res.t_events[-1][-1]
-        else:
-            for k, ev in enumerate(events):
-                if ev.terminal and len(res.t_events[k]) > 0:
-                    termination = f"event:{ev.id}"
-                    t_stop = recorded[ev.id][-1][0]
-    elif res.status == -1:
-        termination = "step_underflow"
-
+    termination = {0: "span_end", 1: "blow_up", -1: "step_underflow"}[res.status]
     t = np.asarray(res.t)
     y = np.asarray(res.y).T
-    if t_stop is not None:
+    if res.status == 1:
+        t_stop = res.t_events[0][-1]
         keep = (t < t_stop) if t1 > t0 else (t > t_stop)
         t = np.append(t[keep], t_stop)
-        y = np.vstack([y[keep], res.sol(t_stop)])
-    return Trajectory(t=t, y=y, termination=termination,
-                      events=recorded, sol=res.sol)
-
-
-def _wrap_event(fn, ev: Event):
-    g = lambda t, y: fn(t, y)
-    g.terminal = ev.terminal
-    g.direction = {"rising": 1.0, "falling": -1.0, "any": 0.0}[ev.direction]
-    return g
-
-
-def _refine_event(sol, ev: Event, t_ev: float, t_grid) -> float:
-    """Polish an event root by bisection on the dense output."""
-    steps = np.diff(t_grid)
-    h = np.max(np.abs(steps)) if len(steps) else 1.0
-    lo, hi = t_ev - 0.5 * h, t_ev + 0.5 * h
-    glo = ev.fn(lo, sol(lo))
-    ghi = ev.fn(hi, sol(hi))
-    if glo * ghi > 0:
-        return t_ev  # already at the root to solver precision
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = ev.fn(mid, sol(mid))
-        if gm == 0.0 or hi - lo < 1e-13 * max(1.0, abs(mid)):
-            return mid
-        if glo * gm <= 0:
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-    return 0.5 * (lo + hi)
+        y = np.vstack([y[keep], res.y_events[0][-1]])
+    return Trajectory(t=t, y=y, termination=termination, sol=res.sol)
 
 
 def series_start(kind: str, lam: float, f0: float | None = None,

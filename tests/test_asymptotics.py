@@ -65,6 +65,19 @@ class TestRadialLinearClosedForm:
               - radial_linear_closed_form(a, b, c, x0, y0, xs - h)) / (2 * h)
         assert np.max(np.abs(yp + (b / xs) * (y - a) - c / xs**2)) < 1e-5
 
+    def test_substitution_near_b1(self):
+        # b close to 1: the two-term form cancelled d/x^b against c/((b-1)x)
+        a, b, c, x0, y0 = 0.0, 0.99999, 1.0, 1.0, 0.0
+        xs = np.linspace(1.05 * x0, 30.0 * x0, 50)
+        h = 1e-6 * xs
+        y = radial_linear_closed_form(a, b, c, x0, y0, xs)
+        yp = (radial_linear_closed_form(a, b, c, x0, y0, xs + h)
+              - radial_linear_closed_form(a, b, c, x0, y0, xs - h)) / (2 * h)
+        assert np.max(np.abs(yp + (b / xs) * (y - a) - c / xs**2)) < 1e-5
+        # and it stays continuous with the b = 1 solution
+        y1 = radial_linear_closed_form(a, 1.0, c, x0, y0, xs)
+        assert np.max(np.abs(y - y1)) < 1e-4
+
     def test_initial_condition(self):
         assert radial_linear_closed_form(1.0, 2.5, -0.3, 1.5, 4.0, 1.5) == \
             pytest.approx(4.0, abs=1e-13)

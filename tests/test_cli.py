@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ class TestExports:
     def test_csv_round_trip_bit_exact(self, tmp_path):
         prof = solve_grim_reaper(GrimReaperParams(1.0, 1.0))
         path = tmp_path / "grim.csv"
-        exports.export_csv(prof, path)
+        exports.write_file(path, exports.csv_text(prof))
         header, data = exports.parse_csv(path)
         assert header[0] == "y"
         assert header[1:3] == ["gamma", "gamma_prime"]
@@ -89,7 +90,7 @@ class TestExports:
 
     def test_write_error_includes_path(self):
         with pytest.raises(OSError, match="no/such/dir"):
-            exports._write_text("/no/such/dir/file.txt", "x")
+            exports.write_file("/no/such/dir/file.txt", "x")
 
 
 class TestCli:
@@ -125,6 +126,30 @@ class TestCli:
 
     def test_bad_direction_exit_code(self, capsys):
         assert main(["planar-grim", "--direction", "1;0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["helicoid", "--span", "-3"],
+        ["bowl", "--span", "1e6"],  # samples past the blow-up stop
+        ["catenoid", "--span", "1e6"],
+        ["bowl", "--span", "1e-5"],  # below the series start
+        ["bowl", "--rtol", "2"],
+        ["catenoid", "--span", "0.5"],  # below the junction radius
+        ["planar-grim", "--direction", "inf,1"],
+    ], ids=" ".join)
+    def test_out_of_domain_exit_code(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_overflow_exit_code(self, capsys):
+        # math.sinh in the slab endpoints overflows at this lambda
+        assert main(["grim", "--lambda", "3e5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure:") and err.count("\n") == 1
 
     def test_grim_csv_stdout(self, capsys):
         assert main(["grim", "--lambda", "1.0"]) == 0

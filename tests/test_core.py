@@ -8,7 +8,6 @@ from nil3trans.core import (
     FrameVector,
     Isometry,
     KillingField,
-    MetricParam,
     ORIGIN,
     Point,
     connection_bilinear,
@@ -85,12 +84,6 @@ class TestMetric:
         w = FrameVector(Point(1, 0, 0), 1, 0, 0)
         with pytest.raises(ValueError):
             metric(1.0, v, w)
-
-    def test_metric_param_validation(self):
-        with pytest.raises(ValueError):
-            MetricParam(0.0)
-        with pytest.raises(ValueError):
-            MetricParam(-1.0)
 
     def test_coordinate_frame_round_trip(self):
         p = Point(0.7, -1.1, 0.4)

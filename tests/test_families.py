@@ -177,8 +177,7 @@ class TestCatenoid:
         assert prof.data["r"][0] == pytest.approx(150.0, rel=1e-12)
         assert prof.data["r"][-1] == pytest.approx(150.0, rel=1e-12)
 
-    @pytest.mark.parametrize("eps", [None, 0.05])
-    def test_tolerances_reach_the_neck(self, monkeypatch, eps):
+    def test_tolerances_reach_the_neck(self, monkeypatch):
         seen = []
 
         def spy(*args, **kwargs):
@@ -186,7 +185,7 @@ class TestCatenoid:
             return catenoid_neck(*args, **kwargs)
 
         monkeypatch.setattr(families, "catenoid_neck", spy)
-        solve_catenoid(1.0, 1.0, eps=eps, r_max=20.0, rtol=1e-9, atol=1e-11)
+        solve_catenoid(1.0, 1.0, r_max=20.0, rtol=1e-9, atol=1e-11)
         assert seen == [(1e-9, 1e-11)]
 
     def test_validation(self):
@@ -339,11 +338,6 @@ class TestSweepSurface:
         mesh = sweep_surface(prof, n_profile=5000, n_sweep=60,
                              max_vertices=6000)
         assert len(mesh.vertices) <= 6000
-
-    def test_mismatched_group(self):
-        prof = solve_bowl(1.0, 5.0)
-        with pytest.raises(ValueError):
-            sweep_surface(prof, group="translation")
 
     def test_helicoidal_sweep(self):
         prof = solve_helicoid(HelicoidParams(1.0, 1.0, 1.0), s_span=5.0)

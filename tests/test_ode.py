@@ -11,7 +11,7 @@ from nil3trans.families import (
     slab,
 )
 from nil3trans.ode import (
-    Event,
+    BLOW_UP_THRESHOLD,
     OdeProblem,
     Trajectory,
     integrate,
@@ -27,6 +27,11 @@ class TestProblemValidation:
     def test_bad_tolerances(self):
         with pytest.raises(ValueError):
             OdeProblem(lambda t, y: y, (1.0,), (0.0, 1.0), rtol=0.0)
+        for rtol in (1.0, 2.0):
+            with pytest.raises(ValueError, match="rtol"):
+                OdeProblem(lambda t, y: y, (1.0,), (0.0, 1.0), rtol=rtol)
+        with pytest.raises(ValueError):
+            OdeProblem(lambda t, y: y, (1.0,), (0.0, 1.0), atol=0.0)
 
     def test_nonfinite_initial_rhs(self):
         prob = OdeProblem(lambda t, y: [math.inf], (1.0,), (0.0, 1.0))
@@ -50,10 +55,6 @@ class TestProblemValidation:
             warnings.simplefilter("error")
             traj = integrate(prob)
         assert traj.y_end[0] == pytest.approx(math.e, rel=1e-12)
-
-    def test_bad_event_direction(self):
-        with pytest.raises(ValueError):
-            Event("e", lambda t, y: y[0], direction="sideways")
 
 
 class TestAccuracy:
@@ -91,72 +92,19 @@ class TestAccuracy:
         err = np.max(np.abs(traj(mids)[:, 0] - np.exp(mids)))
         assert err < 10 * 1e-8 * math.e
 
+    @pytest.mark.parametrize("t1", [1.0, -1.0])
+    def test_dense_output_refuses_extrapolation(self, t1):
+        traj = integrate(OdeProblem(lambda t, y: y, (1.0,), (0.0, t1)))
+        assert traj(t1)[0] == pytest.approx(math.exp(t1), rel=1e-9)
+        assert traj(np.array([0.0, 0.5 * t1])).shape == (2, 1)
+        for t in (1.5 * t1, -0.5 * t1, np.array([0.0, 2.0 * t1]), math.nan):
+            with pytest.raises(ValueError, match="outside the integrated range"):
+                traj(t)
+
     def test_trajectory_without_dense_output(self):
         traj = Trajectory(np.array([0.0]), np.zeros((1, 1)), "span_end")
         with pytest.raises(ValueError):
             traj(0.0)
-
-
-class TestEvents:
-    def rhs_circle(self, t, y):
-        return [y[1], -y[0]]
-
-    def y0_circle(self):
-        # initial data so that y[0] = sin(t) on the span [0.1, 7]
-        return (math.sin(0.1), math.cos(0.1))
-
-    def test_event_recorded_and_refined(self):
-        # y = sin t: zeros of y[0] at pi, 2pi within the span
-        ev = Event("zero", lambda t, y: y[0], direction="any")
-        traj = integrate(OdeProblem(self.rhs_circle, self.y0_circle(),
-                                    (0.1, 7.0)), events=(ev,))
-        roots = [t for t, _ in traj.events["zero"]]
-        assert len(roots) == 2
-        assert roots[0] == pytest.approx(math.pi, abs=1e-10)
-        assert roots[1] == pytest.approx(2 * math.pi, abs=1e-10)
-        for t, y in traj.events["zero"]:
-            assert abs(y[0]) < 1e-10
-
-    def test_direction_filter(self):
-        ev = Event("fall", lambda t, y: y[0], direction="falling")
-        traj = integrate(OdeProblem(self.rhs_circle, self.y0_circle(),
-                                    (0.1, 7.0)), events=(ev,))
-        roots = [t for t, _ in traj.events["fall"]]
-        assert roots == [pytest.approx(math.pi, abs=1e-10)]
-
-    def test_terminal_event_truncates(self):
-        ev = Event("stop", lambda t, y: y[0] - 2.0, terminal=True)
-        traj = integrate(OdeProblem(lambda t, y: y, (1.0,), (0.0, 5.0)),
-                         events=(ev,))
-        assert traj.termination == "event:stop"
-        assert traj.t_end == pytest.approx(math.log(2.0), abs=1e-9)
-        assert np.all(np.diff(traj.t) > 0)  # no duplicated final sample
-
-    def test_event_location_solver_independent(self):
-        ev = Event("zero", lambda t, y: y[0], direction="any")
-        roots = []
-        for rtol in (1e-10, 1e-12):
-            traj = integrate(
-                OdeProblem(self.rhs_circle, self.y0_circle(), (0.1, 4.0),
-                           rtol=rtol, atol=rtol * 1e-2), events=(ev,))
-            roots.append(traj.events["zero"][0][0])
-        assert abs(roots[0] - roots[1]) < 1e-10
-
-    def test_grim_slope_crossing_inside_slab(self):
-        # gamma' reaches 1e6 inside the slab, before blow-up
-        lam, c = 1.0, 0.0
-        sl = slab(lam, c)
-
-        def rhs(y, state):
-            return grim_reaper_rhs(lam, c, y, state[0], state[1])
-
-        ev = Event("steep", lambda y, s: s[1] - 1e6, direction="rising",
-                   terminal=True)
-        traj = integrate(OdeProblem(rhs, (0.0, 0.0),
-                                    (0.0, sl.b_endpoint + 1.0)), events=(ev,))
-        assert traj.termination == "event:steep"
-        assert traj.t_end < sl.b_endpoint
-        assert sl.b_endpoint - traj.t_end < 1e-3
 
 
 class TestBlowUp:
@@ -173,6 +121,25 @@ class TestBlowUp:
         traj = integrate(prob)
         assert traj.termination == "blow_up"
         assert traj.t_end < sl.b_endpoint
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_stop_sample(self, forward):
+        # the stop replaces the last step sample: t stays strictly monotone
+        # with no duplicated final sample, and the stop state is the dense
+        # output at the stop
+        lam, c = 1.0, 0.5
+        sl = slab(lam, c)
+        t1 = sl.b_endpoint + 1.0 if forward else sl.a_endpoint - 1.0
+
+        def rhs(y, state):
+            return grim_reaper_rhs(lam, c, y, state[0], state[1])
+
+        traj = integrate(OdeProblem(rhs, (0.0, 0.0), (0.0, t1)))
+        assert traj.termination == "blow_up"
+        steps = np.diff(traj.t) if forward else -np.diff(traj.t)
+        assert np.all(steps > 0)
+        assert np.array_equal(traj.y[-1], traj(traj.t_end))
+        assert np.max(np.abs(traj.y[-1])) == pytest.approx(BLOW_UP_THRESHOLD, rel=1e-6)
 
     def test_threshold_monotone_approach(self):
         prob, sl = self.grim_problem()
