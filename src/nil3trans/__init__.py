@@ -40,6 +40,7 @@ from .surface import (
 )
 from .ode import (
     OdeProblem,
+    Solution,
     Trajectory,
     integrate,
     series_start,
@@ -75,7 +76,9 @@ from .families import (
     solve_bowl,
     solve_catenoid,
     solve_grim_reaper,
+    solve_grim_reapers,
     solve_helicoid,
+    solve_helicoids,
     sweep_surface,
 )
 

@@ -93,8 +93,8 @@ def norm(lam: float, v: FrameVector) -> float:
 
 def _lam_value(lam) -> float:
     lam = float(lam)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
     return lam
 
 

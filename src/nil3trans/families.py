@@ -81,8 +81,8 @@ class GrimReaperParams:
     c: float = 0.0
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
         if self.c < 0:
             raise ValueError("slope c must be non-negative (apply y -> -y for c < 0)")
 
@@ -104,11 +104,13 @@ def slab(lam: float, c: float) -> SlabData:
     return SlabData(a, b, width)
 
 
-def grim_reaper_rhs(lam: float, c: float, y: float, gamma: float, gamma_p: float):
-    """Right-hand side of the generating-curve ODE (state (gamma, gamma'))."""
-    s = math.sqrt(lam)
+def grim_reaper_rhs(lam, c, y, gamma, gamma_p):
+    """Right-hand side of the generating-curve ODE (state (gamma, gamma'));
+    every argument may be an array."""
+    s = np.sqrt(lam)
     a = y + c
-    gamma_pp = 1.0 / s + (s * gamma_p * gamma_p + lam * a * gamma_p) / (1.0 + lam * a * a)
+    la = lam * a
+    gamma_pp = 1.0 / s + (s * gamma_p + la) * gamma_p / (1.0 + la * a)
     return gamma_p, gamma_pp
 
 
@@ -134,6 +136,10 @@ def grim_reaper_jet(lam: float, c: float, y, gamma, gamma_p) -> GraphJet:
     )
 
 
+def _grim_lanes(y, state, lam, c):
+    return grim_reaper_rhs(lam, c, y, state[0], state[1])
+
+
 def solve_grim_reaper(params: GrimReaperParams,
                       rtol: float = ode.DEFAULT_RTOL,
                       atol: float = ode.DEFAULT_ATOL,
@@ -143,19 +149,28 @@ def solve_grim_reaper(params: GrimReaperParams,
     With ``derived=False`` only gamma and gamma' are tabulated (no per-sample
     shape data), which keeps tight-tolerance runs fast.
     """
+    return solve_grim_reapers([params], rtol=rtol, atol=atol, derived=derived)[0]
+
+
+def solve_grim_reapers(params, rtol: float = ode.DEFAULT_RTOL,
+                       atol: float = ode.DEFAULT_ATOL,
+                       derived: bool = True) -> list:
+    """``solve_grim_reaper`` for each of ``params``; both directions of all
+    curves are integrated as the lanes of one ``ode.solve_ivp`` call."""
+    params = list(params)
+    slabs = [slab(p.lam, p.c) for p in params]
+    lam = np.repeat([p.lam for p in params], 2)
+    c = np.repeat([p.c for p in params], 2)
+    t1 = [t for sl in slabs for t in (sl.b_endpoint + 0.2 * sl.width,
+                                      sl.a_endpoint - 0.2 * sl.width)]
+    trajs = ode.solve_ivp(_grim_lanes, (np.zeros(len(t1)), t1), np.zeros((len(t1), 2)),
+                          args=(lam, c), rtol=rtol, atol=atol).trajectories
+    return [_grim_profile(p, sl, trajs[2 * i], trajs[2 * i + 1], derived)
+            for i, (p, sl) in enumerate(zip(params, slabs))]
+
+
+def _grim_profile(params, sl, up, down, derived) -> ProfileCurve:
     lam, c = params.lam, params.c
-
-    def rhs(y, state):
-        return grim_reaper_rhs(lam, c, y, state[0], state[1])
-
-    sl = slab(lam, c)
-    span = sl.width
-    trajs = []
-    for t1 in (sl.b_endpoint + 0.2 * span, sl.a_endpoint - 0.2 * span):
-        problem = ode.OdeProblem(rhs, (0.0, 0.0), (0.0, t1), rtol=rtol, atol=atol)
-        trajs.append(ode.integrate(problem))
-
-    up, down = trajs
     ys = np.concatenate([down.t[:0:-1], up.t])
     states = np.vstack([down.y[:0:-1], up.y])
     cols = {"gamma": states[:, 0].copy(), "gamma_prime": states[:, 1].copy()}
@@ -166,9 +181,18 @@ def solve_grim_reaper(params: GrimReaperParams,
         "slab": sl,
         "a_numeric": float(down.t_end),
         "b_numeric": float(up.t_end),
-        "termination": (down.termination, up.termination),
+        **_counters(down, up),
     }
-    return ProfileCurve("grim", {"lam": lam, "c": c}, ys, cols, trajs, diag)
+    return ProfileCurve("grim", {"lam": lam, "c": c}, ys, cols, [up, down], diag)
+
+
+def _counters(*trajs) -> dict:
+    """Termination reason, accepted steps and rhs evaluations of the step
+    loop per trajectory (``Trajectory.nfev``: the same figure whether or not
+    the dense output has been built)."""
+    return {"termination": tuple(tr.termination for tr in trajs),
+            "n_steps": tuple(tr.n_steps for tr in trajs),
+            "nfev": tuple(tr.nfev for tr in trajs)}
 
 
 def _shape_columns(lam: float, shape, graph_jet: GraphJet | None = None) -> dict:
@@ -198,8 +222,9 @@ def grim_reaper_on_window(lam: float, c: float, y_max: float,
     def rhs(y, state):
         return grim_reaper_rhs(lam, c, y, state[0], state[1])
 
-    up = ode.integrate(ode.OdeProblem(rhs, (0.0, 0.0), (0.0, y_max), rtol=rtol, atol=atol))
-    down = ode.integrate(ode.OdeProblem(rhs, (0.0, 0.0), (0.0, -y_max), rtol=rtol, atol=atol))
+    # both halves of the window as the two lanes of one call
+    up, down = ode.solve_ivp(rhs, ([0.0, 0.0], [y_max, -y_max]), np.zeros((2, 2)),
+                             rtol=rtol, atol=atol).trajectories
 
     def gamma(y):
         scalar = np.ndim(y) == 0
@@ -221,7 +246,7 @@ def grim_reaper_on_window(lam: float, c: float, y_max: float,
 
 def rotational_rhs(lam: float, r, phi_p):
     """phi'' for the rotational graph z = phi(r); singular at r = 0."""
-    if np.any(r <= 0):
+    if np.count_nonzero(r <= 0):
         raise ValueError("rotational ODE is singular at r <= 0; use a series start")
     s = math.sqrt(lam)
     return 1.0 / s + 4.0 * phi_p / (r * (4.0 + lam * r * r)) * (
@@ -259,16 +284,19 @@ def solve_bowl(lam: float, r_max: float, n_samples: int = 1500,
     jet = radial_graph_jet(lam, rs, cols["phi"], cols["psi"])
     cols.update(_shape_columns(lam, graph_shape(lam, jet), jet))
     return ProfileCurve("bowl", {"lam": lam, "r_max": r_max}, rs, cols, [traj],
-                        {"termination": traj.termination})
+                        {"termination": traj.termination, "n_steps": traj.n_steps,
+                         "nfev": traj.nfev})
 
 
 def catenoid_neck_rhs(lam: float, f, f_p):
     """f'' of the neck profile (the surface (f(z)cos v2, f(z)sin v2, z))."""
-    if np.any(f <= 0):
+    if np.count_nonzero(f <= 0):
         raise ValueError("neck radius must stay positive")
     s = math.sqrt(lam)
-    return 4.0 / (s * f * (4.0 + lam * f * f)) * (
-        lam * s + s * f_p * f_p - f * f_p**3 - lam * f * f_p - 0.25 * lam * f**3 * f_p**3
+    lf = lam * f
+    fp3 = f_p * f_p * f_p
+    return 4.0 / (s * f * (4.0 + lf * f)) * (
+        lam * s + s * f_p * f_p - f * fp3 - lf * f_p - 0.25 * lf * f * f * fp3
     )
 
 
@@ -283,9 +311,9 @@ def catenoid_neck(lam: float, f0: float, z_max: float,
     def rhs(z, state):
         return state[1], catenoid_neck_rhs(lam, state[0], state[1])
 
-    up = ode.integrate(ode.OdeProblem(rhs, start, (delta, z_max), rtol=rtol, atol=atol))
-    down_start = (start[0], -start[1])
-    down = ode.integrate(ode.OdeProblem(rhs, down_start, (-delta, -z_max), rtol=rtol, atol=atol))
+    # the halves above and below the apex as the two lanes of one call
+    up, down = ode.solve_ivp(rhs, ([delta, -delta], [z_max, -z_max]),
+                             [start, (start[0], -start[1])], rtol=rtol, atol=atol).trajectories
 
     s = math.sqrt(lam)
     fpp0 = 4.0 * lam / (f0 * (4.0 + lam * f0 * f0))
@@ -376,10 +404,10 @@ def solve_catenoid(lam: float, f0: float, r_max: float = 200.0,
     def rhs(r, state):
         return state[1], rotational_rhs(lam, r, state[1])
 
-    arm_p = ode.integrate(
-        ode.OdeProblem(rhs, (eps, 1.0 / c1p), (c0p, r_max), rtol=rtol, atol=atol))
-    arm_m = ode.integrate(
-        ode.OdeProblem(rhs, (-eps, 1.0 / c1m), (c0m, r_max), rtol=rtol, atol=atol))
+    # both arms as the two lanes of one call
+    arm_p, arm_m = ode.solve_ivp(rhs, ([c0p, c0m], [r_max, r_max]),
+                                 [(eps, 1.0 / c1p), (-eps, 1.0 / c1m)],
+                                 rtol=rtol, atol=atol).trajectories
 
     # sample the curve in order: lower arm from large r down, neck bottom to
     # top, upper arm up; the two arms share one graph kernel call
@@ -410,6 +438,7 @@ def solve_catenoid(lam: float, f0: float, r_max: float = 200.0,
             "lower": {"r": c0m, "z": -eps, "neck_slope": 1.0 / c1m, "arm_slope": float(arm_m.y[0][1])},
         },
         "min_radius": float(np.min(rr)),
+        **_counters(arm_m, arm_p),
     }
     return ProfileCurve("catenoid", {"lam": lam, "f0": f0, "r_max": r_max},
                         s, cols, [arm_m, arm_p], diag)
@@ -426,34 +455,33 @@ class HelicoidParams:
     r0: float = 1.0
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
         if self.pitch == 0:
             raise ValueError("pitch must be nonzero (pitch 0 is the rotational case)")
         if self.r0 < 0:
             raise ValueError("seed distance r0 must be non-negative")
 
 
-def helicoid_curvature(lam: float, c: float, tau, nu):
+def helicoid_curvature(lam, c, tau, nu):
     """Prescribed curvature of the arc-length generating curve."""
-    if c == 0:
+    if np.count_nonzero(c) < np.size(c):
         raise ValueError("pitch must be nonzero")
-    s = math.sqrt(lam)
-    r2 = tau * tau + nu * nu
-    q = 4.0 * tau * tau + lam * (4.0 * c * c - 4.0 * c * tau * tau
-                                 + tau**4 + tau * tau * nu * nu)
-    num = (lam * s * c * nu * (4.0 * c - 2.0 * tau * tau - nu * nu)
-           - 4.0 * s * c * nu - tau * q)
-    den = s * c * (4.0 * r2 + lam * (2.0 * c - r2) ** 2)
+    sc, c4 = np.sqrt(lam) * c, 4.0 * c
+    tt, nn = tau * tau, nu * nu
+    r2 = tt + nn
+    q = 4.0 * tt + lam * (c4 * (c - tt) + tt * r2)
+    num = sc * nu * (lam * (c4 - 2.0 * tt - nn) - 4.0) - tau * q
+    den = sc * (4.0 * r2 + lam * (2.0 * c - r2) ** 2)
     return num / den
 
 
-def helicoid_rhs(lam: float, c: float, state):
+def helicoid_rhs(lam, c, state):
     """State derivative for (gamma1, gamma2, theta) with theta the tangent angle."""
     g1, g2, th = state
-    ct, st = math.cos(th), math.sin(th)
+    ct, st = np.cos(th), np.sin(th)
     tau = g1 * ct + g2 * st
-    nu = -g1 * st + g2 * ct
+    nu = g2 * ct - g1 * st
     return ct, st, helicoid_curvature(lam, c, tau, nu)
 
 
@@ -481,6 +509,10 @@ def helicoid_patch_jet(lam: float, c: float, g1, g2, th, v2: float = 0.0) -> Pat
     return PatchJet(p, v1, w2, d1, d2)
 
 
+def _helicoid_lanes(s, state, lam, c):
+    return helicoid_rhs(lam, c, state)
+
+
 def solve_helicoid(params: HelicoidParams, s_span: float = 50.0,
                    n_samples: int = 4001,
                    rtol: float = ode.DEFAULT_RTOL,
@@ -490,17 +522,29 @@ def solve_helicoid(params: HelicoidParams, s_span: float = 50.0,
     Normalization: gamma(0) = (r0, 0) with tangent angle pi/2, so tau(0) = 0
     and the closest point lies on the positive x-axis.
     """
+    return solve_helicoids([params], s_span, n_samples, rtol=rtol, atol=atol)[0]
+
+
+def solve_helicoids(params, s_span: float = 50.0, n_samples: int = 4001,
+                    rtol: float = ode.DEFAULT_RTOL,
+                    atol: float = ode.DEFAULT_ATOL) -> list:
+    """``solve_helicoid`` for each of ``params``; both arms of all curves are
+    integrated as the lanes of one ``ode.solve_ivp`` call."""
     if not s_span > 0:
         raise ValueError("s_span must be positive")
+    params = list(params)
+    lam = np.repeat([p.lam for p in params], 2)
+    c = np.repeat([p.pitch for p in params], 2)
+    y0 = [(p.r0, 0.0, 0.5 * math.pi) for p in params for _ in range(2)]
+    t1 = np.tile([s_span, -s_span], len(params))
+    trajs = ode.solve_ivp(_helicoid_lanes, (np.zeros(len(t1)), t1), y0, args=(lam, c),
+                          rtol=rtol, atol=atol).trajectories
+    return [_helicoid_profile(p, s_span, n_samples, trajs[2 * i], trajs[2 * i + 1])
+            for i, p in enumerate(params)]
+
+
+def _helicoid_profile(params, s_span, n_samples, fwd, bwd) -> ProfileCurve:
     lam, c, r0 = params.lam, params.pitch, params.r0
-
-    def rhs(s, state):
-        return helicoid_rhs(lam, c, state)
-
-    y0 = (r0, 0.0, 0.5 * math.pi)
-    fwd = ode.integrate(ode.OdeProblem(rhs, y0, (0.0, s_span), rtol=rtol, atol=atol))
-    bwd = ode.integrate(ode.OdeProblem(rhs, y0, (0.0, -s_span), rtol=rtol, atol=atol))
-
     ss = np.linspace(-s_span, s_span, n_samples)
     states = np.empty((n_samples, 3))
     pos = ss >= 0
@@ -516,7 +560,7 @@ def solve_helicoid(params: HelicoidParams, s_span: float = 50.0,
     jet = helicoid_patch_jet(lam, c, g1, g2, th)
     cols.update(_shape_columns(lam, patch_shape(lam, jet)))
     winding = np.unwrap(np.arctan2(cols["gamma2"], cols["gamma1"]))
-    diag = {"winding": winding}
+    diag = {"winding": winding, **_counters(bwd, fwd)}
     return ProfileCurve(
         "helicoid", {"lam": lam, "pitch": c, "r0": r0, "s_span": s_span},
         ss, cols, [bwd, fwd], diag)

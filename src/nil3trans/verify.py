@@ -142,9 +142,8 @@ def _grim_grid_checks():
     grid = [(lam, c) for lam in (0.5, 1.0, 4.0) for c in (0.0, 1.0, 2.0)]
     # tight tolerances: the closed-form comparison is at the 1e-8 absolute
     # level while gamma' reaches ~10^3 inside the central window
-    profiles = [fam.solve_grim_reaper(fam.GrimReaperParams(*pc),
+    profiles = fam.solve_grim_reapers([fam.GrimReaperParams(*pc) for pc in grid],
                                       rtol=1e-13, atol=1e-15, derived=False)
-                for pc in grid]
 
     width = fam.slab(1.0, 0.0).width
     checks.append(_check("slab-width-(1,0)", "Thm 1.1(2) slab width",
@@ -346,7 +345,7 @@ def _helicoid_checks():
     checks = []
     grid = [(lam, c, r0) for lam in (1.0, 4.0) for c in (0.5, 1.0, 2.0)
             for r0 in (0.5, 1.0, 2.0)]
-    profs = [fam.solve_helicoid(fam.HelicoidParams(*g)) for g in grid]
+    profs = fam.solve_helicoids([fam.HelicoidParams(*g) for g in grid])
 
     fails = {"r2-min": 0, "tau-zero": 0, "nu-zeros": 0, "winding": 0,
              "k-decay": 0, "kprime-sign": 0}

@@ -135,6 +135,10 @@ class TestCli:
         ["bowl", "--rtol", "2"],
         ["catenoid", "--span", "0.5"],  # below the junction radius
         ["planar-grim", "--direction", "inf,1"],
+        ["bowl", "--lambda", "inf"],  # once warned from rotational_rhs first
+        ["helicoid", "--lambda", "inf"],
+        ["grim", "--lambda", "nan"],
+        ["catenoid", "--lambda", "inf"],
     ], ids=" ".join)
     def test_out_of_domain_exit_code(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:

@@ -226,6 +226,11 @@ class TestKilling:
         assert v.coeffs() == (0.0, 0.0, 0.5)
         assert norm(lam, v) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+    def test_lambda_outside_domain(self, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            vertical_translation_field(lam)
+
 
 class TestIsometry:
     def test_left_translation_round_trip(self):

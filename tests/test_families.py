@@ -40,6 +40,11 @@ class TestGrimReaper:
             GrimReaperParams(-1.0, 0.0)
         with pytest.raises(ValueError):
             GrimReaperParams(1.0, -0.5)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                GrimReaperParams(lam, 0.0)
+            with pytest.raises(ValueError, match="finite"):
+                HelicoidParams(lam, 1.0)
 
     def test_slab_symmetric_when_untilted(self):
         for lam in (0.5, 1.0, 4.0):
@@ -353,3 +358,28 @@ class TestSweepSurface:
                 got = mesh.vertices[j * n_p + i]
                 assert got == pytest.approx(
                     (cu * x0 - su * y0, su * x0 + cu * y0, z0 + u), abs=1e-12)
+
+
+class TestSolverCounters:
+    def test_every_family_reports_its_trajectories(self):
+        profiles = {
+            "grim": solve_grim_reaper(GrimReaperParams(1.0, 0.5)),
+            "catenoid": solve_catenoid(1.0, 1.0),
+            "helicoid": solve_helicoid(HelicoidParams(1.0, 1.0, 1.0), s_span=10.0),
+        }
+        for name, prof in profiles.items():
+            diag = prof.diagnostics
+            assert len(diag["termination"]) == len(prof.trajectories), name
+            for key in ("termination", "n_steps", "nfev"):
+                assert sorted(diag[key]) == sorted(getattr(tr, key)
+                                                   for tr in prof.trajectories), name
+            assert all(isinstance(v, int) and v > 0 for v in diag["n_steps"] + diag["nfev"])
+            # reading the dense output leaves the counters as recorded
+            for tr in prof.trajectories:
+                tr(tr.t_end)
+            assert sorted(diag["nfev"]) == sorted(tr.nfev for tr in prof.trajectories), name
+        bowl = solve_bowl(1.0, 20.0)
+        traj = bowl.trajectories[0]
+        assert (bowl.diagnostics["termination"], bowl.diagnostics["n_steps"],
+                bowl.diagnostics["nfev"]) == (traj.termination, traj.n_steps, traj.nfev)
+        assert traj.n_steps == len(traj.t) - 1

@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 
 from nil3trans.asymptotics import radial_linear_closed_form
+from nil3trans import ode
 from nil3trans.families import (
     GrimReaperParams,
+    HelicoidParams,
     grim_reaper_rhs,
     slab,
+    solve_grim_reaper,
+    solve_grim_reapers,
+    solve_helicoid,
+    solve_helicoids,
 )
 from nil3trans.ode import (
     BLOW_UP_THRESHOLD,
@@ -48,8 +54,8 @@ class TestProblemValidation:
             OdeProblem(lambda t, y: y, **kwargs)
 
     def test_rtol_below_scipy_floor_is_clamped(self):
-        # rtol / RTOL_SAFETY falls under scipy's 100 eps floor here; the
-        # clamp keeps scipy from warning and the solve accurate
+        # rtol / RTOL_SAFETY falls under the 100 eps floor here; the clamp
+        # keeps the solve quiet and accurate
         prob = OdeProblem(lambda t, y: y, (1.0,), (0.0, 1.0), rtol=5e-14, atol=1e-15)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -150,6 +156,110 @@ class TestBlowUp:
         assert sl.b_endpoint - ends[-1] < 1e-3
 
 
+class TestTableau:
+    def test_matches_scipy_coefficients(self):
+        # the tableau is transcribed from HNW / dop853.f; scipy ships the
+        # same constants, which only the tests import
+        ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        for name in ("A", "B", "C", "E3", "E5", "D"):
+            assert np.array_equal(getattr(ode, name), getattr(ref, name)), name
+        assert (ode.N_STAGES, ode.N_STAGES_EXTENDED, ode.INTERPOLATOR_POWER) == \
+            (ref.N_STAGES, ref.N_STAGES_EXTENDED, ref.INTERPOLATOR_POWER)
+
+    def test_runtime_does_not_import_scipy(self):
+        source = open(ode.__file__, encoding="utf-8").read()
+        assert "import scipy" not in source and "from scipy" not in source
+
+
+def same_trajectory(a, b):
+    assert a.termination == b.termination
+    assert (a.n_steps, a.nfev) == (b.n_steps, b.nfev)
+    assert np.array_equal(a.t, b.t) and np.array_equal(a.y, b.y)
+    assert (a.dense is None) == (b.dense is None)
+    if a.dense is not None:
+        assert all(np.array_equal(u, v) for u, v in zip(a.dense, b.dense))
+
+
+class TestLanes:
+    def test_grim_grid_lanes_match_single_solves(self):
+        # a lane's result must not depend on the batch it runs in
+        grid = [GrimReaperParams(lam, c) for lam in (0.5, 1.0, 4.0)
+                for c in (0.0, 1.0, 2.0)]
+        batch = solve_grim_reapers(grid, rtol=1e-13, atol=1e-15, derived=False)
+        for params, prof in zip(grid, batch):
+            alone = solve_grim_reaper(params, rtol=1e-13, atol=1e-15, derived=False)
+            for a, b in zip(prof.trajectories, alone.trajectories):
+                same_trajectory(a, b)
+            assert prof.diagnostics == alone.diagnostics
+
+    def test_helicoid_lanes_match_single_solves(self):
+        grid = [HelicoidParams(1.0, 0.5, 2.0), HelicoidParams(4.0, 2.0, 0.5)]
+        batch = solve_helicoids(grid, s_span=20.0, n_samples=801)
+        for params, prof in zip(grid, batch):
+            alone = solve_helicoid(params, s_span=20.0, n_samples=801)
+            for a, b in zip(prof.trajectories, alone.trajectories):
+                same_trajectory(a, b)
+            for key, col in alone.data.items():
+                assert np.array_equal(prof.data[key], col), key
+
+    def test_lanes_keep_their_own_span_and_termination(self):
+        lam, c = np.array([1.0, 1.0]), np.array([0.0, 0.0])
+        sl = slab(1.0, 0.0)
+
+        def rhs(y, state, lam, c):
+            return grim_reaper_rhs(lam, c, y, state[0], state[1])
+
+        sol = ode.solve_ivp(rhs, ([0.0, 0.0], [1.0, sl.a_endpoint - 1.0]),
+                            np.zeros((2, 2)), args=(lam, c))
+        short, long_ = sol.trajectories
+        assert (short.termination, long_.termination) == ("span_end", "blow_up")
+        assert short.t_end == 1.0 and long_.t_end > sl.a_endpoint
+        assert sol.nfev == short.nfev + long_.nfev
+        assert len(sol.t) == len(short.t) + len(long_.t)
+
+    def test_counters(self):
+        traj = integrate(OdeProblem(lambda t, y: y, (1.0,), (0.0, 1.0)))
+        assert traj.n_steps == len(traj.t) - 1 > 0
+        # 2 evaluations choose the first step and 12 make each attempt;
+        # building the dense output does not change the count
+        nfev = traj.nfev
+        assert nfev >= 2 + 12 * traj.n_steps and (nfev - 2) % 12 == 0
+        traj(0.5)
+        assert traj.nfev == nfev
+
+
+class TestStopLocation:
+    def solve(self, forward):
+        lam, c = 1.0, 0.5
+        sl = slab(lam, c)
+        t1 = sl.b_endpoint + 1.0 if forward else sl.a_endpoint - 1.0
+
+        def rhs(y, state):
+            return grim_reaper_rhs(lam, c, y, state[0], state[1])
+
+        return ode.solve_ivp(rhs, ([0.0], [t1]), [(0.0, 0.0)]).trajectories[0]
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_stop_bracketed_on_the_step_interpolant(self, forward):
+        traj = self.solve(forward)
+        assert traj.termination == "blow_up"
+        t_stop, t_old = traj.t[-1], traj.t[-2]
+        h, coef = traj.dense[0][-1], traj.dense[1][:, -1]
+        assert abs(t_stop - t_old) <= abs(h)  # inside the last accepted step
+
+        def gap(t):
+            y = ode._interpolate(coef, traj.y[-2], (t - t_old) / h)
+            return BLOW_UP_THRESHOLD - np.max(np.abs(y))
+
+        # max|y| crosses the threshold between the two floats next to the
+        # stop, and the stop is the float nearest to the crossing
+        before = np.nextafter(t_stop, t_old)
+        after = np.nextafter(t_stop, t_stop + h)
+        assert gap(before) > 0 >= gap(after)
+        assert abs(gap(t_stop)) <= min(abs(gap(before)), abs(gap(after)))
+        assert np.array_equal(traj.y[-1], traj(t_stop))
+
+
 class TestSeriesStart:
     def test_bowl_origin_slope(self):
         delta, (phi, psi) = series_start("bowl-origin", 1.0)
@@ -181,8 +291,9 @@ class TestSeriesStart:
             series_start("bowl-origin", 1.0, delta=0.0)
         with pytest.raises(ValueError):
             series_start("bowl-origin", 1.0, delta=1e-2)
-        with pytest.raises(ValueError):
-            series_start("bowl-origin", -1.0)
+        for lam in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                series_start("bowl-origin", lam)
         with pytest.raises(ValueError):
             series_start("catenoid-apex", 1.0)  # missing f0
         with pytest.raises(ValueError):
