@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .families import (
     ProfileCurve,
@@ -118,7 +117,9 @@ def fit_rotational_asymptotics(lam: float, arm: ProfileCurve,
     log r.  Critical: slope zeta of eta = (psi - r/2)*r against log r, with
     the log^2 coefficient reported as 2*zeta.  Supercritical: constant-free
     fit of psi - r/sqrt(lam) = C1*r^(e-1) + C2/r giving exponent e and
-    C0 = C1/e.
+    C0 = C1/e; e is searched on [e0 - 1/2, min(e0 + 1/2, 0.999)] around
+    e0 = 1 - 4/lam, and RuntimeError is raised when the best e lies on an
+    end of that bracket.
     """
     r, phi, psi = _arm_samples(arm, n_samples)
     s = math.sqrt(lam)
@@ -148,17 +149,47 @@ def fit_rotational_asymptotics(lam: float, arm: ProfileCurve,
 
     e0 = 1.0 - 4.0 / lam
 
-    def model(r, c1, e, c2):
-        return c1 * np.power(r, e - 1.0) + c2 / r
+    # variable projection (Golub & Pereyra 1973): for fixed e the model is
+    # linear in (C1, C2), so only e is searched
+    def linear_fit(e):
+        basis = np.column_stack([np.power(r, e - 1.0), 1.0 / r])
+        coef = np.linalg.lstsq(basis, q, rcond=None)[0]
+        return coef, basis @ coef
 
-    p0 = (q[-1] * r[-1] ** (1.0 - e0), e0, 0.0)
-    popt, _ = curve_fit(model, r, q, p0=p0, maxfev=20000)
-    c1, e, c2 = (float(v) for v in popt)
-    rel = _normalized_rms(q, model(r, *popt))
-    details.update({"C2": c2, "C0": c1 / e})
+    e = _golden_min(lambda e: float(np.sum((q - linear_fit(e)[1]) ** 2)),
+                    e0 - 0.5, min(e0 + 0.5, 0.999))
+    (c1, c2), fitted = linear_fit(e)
+    rel = _normalized_rms(q, fitted)
+    details.update({"C2": float(c2), "C0": float(c1) / e})
     # the printed expansion asserts only the exponent; C0 depends on the datum
     return AsymptoticFit(regime, e, e0, window, rel, exponent=e,
                          details=details)
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, lo, hi):
+    """Minimiser of a unimodal f on [lo, hi] by golden-section search, to 1e-12.
+
+    Raises RuntimeError when the search closes on an end of the bracket,
+    where f has no interior minimum.
+    """
+    a, b = lo, hi
+    x1, x2 = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > 1e-12:
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_GOLDEN * (b - a)
+            f2 = f(x2)
+    if a == lo or b == hi:
+        raise RuntimeError(f"tail fit has no interior minimum in [{lo:g}, {hi:g}]")
+    return 0.5 * (a + b)
 
 
 def _normalized_rms(data, fitted) -> float:

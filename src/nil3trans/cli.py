@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pitch", type=float, default=1.0, help="pitch c != 0")
     p.add_argument("--r0", type=float, default=1.0,
                    help="distance of the generating curve from the origin")
-    add_common(p, 50.0, "arc-length span of each arm")
+    add_common(p, 50.0, "arc-length span of each arm, at most 1e4")
 
     p = sub.add_parser("planar-grim",
                        help="Euclidean grim reaper cylinder for a horizontal direction")

@@ -447,6 +447,11 @@ def solve_catenoid(lam: float, f0: float, r_max: float = 200.0,
 # ---------------------------------------------------------------------------
 # helicoidal translators
 
+# largest arc-length span of each arm: the arms are integrated over the whole
+# span before sampling and neither end nor blow up, so the step count grows
+# with the span
+MAX_HELICOID_SPAN = 1e4
+
 
 @dataclass(frozen=True)
 class HelicoidParams:
@@ -530,8 +535,8 @@ def solve_helicoids(params, s_span: float = 50.0, n_samples: int = 4001,
                     atol: float = ode.DEFAULT_ATOL) -> list:
     """``solve_helicoid`` for each of ``params``; both arms of all curves are
     integrated as the lanes of one ``ode.solve_ivp`` call."""
-    if not s_span > 0:
-        raise ValueError("s_span must be positive")
+    if not 0 < s_span <= MAX_HELICOID_SPAN:
+        raise ValueError(f"s_span must lie in (0, {MAX_HELICOID_SPAN:g}]")
     params = list(params)
     lam = np.repeat([p.lam for p in params], 2)
     c = np.repeat([p.pitch for p in params], 2)

@@ -11,6 +11,7 @@ dicts, deterministic for fixed inputs, and serializable by
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,28 @@ def _check(name, anchor, expected, computed, tolerance, kind="abs"):
         "kind": kind,
         "passed": bool(passed),
     }
+
+
+class _SharedProfiles:
+    """The representative profiles that checks in more than one place solve
+    with identical arguments, each solved on first use.  One instance serves
+    one ``run_suite`` call, so a later call solves them afresh."""
+
+    @cached_property
+    def grim_1_0(self):
+        return fam.solve_grim_reaper(fam.GrimReaperParams(1.0, 0.0))
+
+    @cached_property
+    def grim_1_1(self):
+        return fam.solve_grim_reaper(fam.GrimReaperParams(1.0, 1.0))
+
+    @cached_property
+    def bowl_1_200(self):
+        return fam.solve_bowl(1.0, 200.0)
+
+    @cached_property
+    def catenoid_1_1(self):
+        return fam.solve_catenoid(1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +254,12 @@ def _curvature_checks(grim10):
     return checks
 
 
-def _residual_checks():
+def _residual_checks(shared):
     checks = []
     reps = {
-        "grim": fam.solve_grim_reaper(fam.GrimReaperParams(1.0, 1.0)),
-        "bowl": fam.solve_bowl(1.0, 200.0),
-        "catenoid": fam.solve_catenoid(1.0, 1.0),
+        "grim": shared.grim_1_1,
+        "bowl": shared.bowl_1_200,
+        "catenoid": shared.catenoid_1_1,
         "helicoid": fam.solve_helicoid(fam.HelicoidParams(1.0, 1.0, 1.0)),
     }
     for name, prof in reps.items():
@@ -307,7 +330,7 @@ def _segments_cross(a, b, c, d):
     return (o1 != o2) & (o3 != o4) & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0)
 
 
-def _bowl_checks():
+def _bowl_checks(prof):
     checks = []
     sup_origin = 0.0
     for lam in (0.5, 1.0, 4.0):
@@ -318,7 +341,6 @@ def _bowl_checks():
                          "bowl condition psi/r -> 1/(2 sqrt(lam)) at r -> 0",
                          0.0, sup_origin, 1e-6))
 
-    prof = fam.solve_bowl(1.0, 200.0)
     ratio = prof.data["psi"][-1] / prof.t[-1]
     checks.append(_check("bowl-tail-slope",
                          "Lemma 4.2 proof: psi grows like r/sqrt(lam)",
@@ -399,13 +421,12 @@ def _helicoid_checks():
     return checks
 
 
-def core_suite():
+def core_suite(shared):
     checks = _core_kernel_checks()
     checks += _grim_grid_checks()
-    grim10 = fam.solve_grim_reaper(fam.GrimReaperParams(1.0, 0.0))
-    checks += _curvature_checks(grim10)
-    checks += _residual_checks()
-    checks += _bowl_checks()
+    checks += _curvature_checks(shared.grim_1_0)
+    checks += _residual_checks(shared)
+    checks += _bowl_checks(shared.bowl_1_200)
     checks += _helicoid_checks()
     return checks
 
@@ -414,7 +435,7 @@ def core_suite():
 # asymptotics suite
 
 
-def asymptotics_suite():
+def asymptotics_suite(shared):
     checks = []
     tol = {1.0: 0.03, 2.0: 0.03, 4.0: 0.05, 9.0: 0.03, 16.0: 0.03}
     for lam in (1.0, 2.0, 4.0, 9.0, 16.0):
@@ -429,21 +450,18 @@ def asymptotics_suite():
                              fit.expected, fit.coefficient, tol[lam], kind="rel"))
 
     # catenoid arms fall into the same regime machinery
-    cat = fam.solve_catenoid(1.0, 1.0)
-    fit = asym.fit_rotational_asymptotics(1.0, cat)
+    fit = asym.fit_rotational_asymptotics(1.0, shared.catenoid_1_1)
     checks.append(_check("catenoid-arm-tail",
                          "Lemma 4.2 applied to the catenoid arms",
                          fit.expected, fit.coefficient, 0.03, kind="rel"))
 
-    prof = fam.solve_grim_reaper(fam.GrimReaperParams(1.0, 0.0))
-    fits = asym.grim_endpoint_fit(1.0, 0.0, prof)
+    fits = asym.grim_endpoint_fit(1.0, 0.0, shared.grim_1_0)
     expected = math.cosh(0.5 * math.pi) ** 2
     for side in ("a", "b"):
         checks.append(_check(f"grim-endpoint-log-coefficient-{side}",
                              "sec. 3: gamma ~ -((1+lam(c+b)^2)/sqrt(lam)) log(b-y)",
                              expected, fits[side].fitted, 0.03, kind="rel"))
-    prof1 = fam.solve_grim_reaper(fam.GrimReaperParams(1.0, 1.0))
-    fits1 = asym.grim_endpoint_fit(1.0, 1.0, prof1)
+    fits1 = asym.grim_endpoint_fit(1.0, 1.0, shared.grim_1_1)
     for side in ("a", "b"):
         checks.append(_check(f"grim-endpoint-tilted-{side}",
                              "sec. 3 endpoint coefficients at (lam, c) = (1, 1)",
@@ -573,10 +591,11 @@ def run_suite(suite: str) -> dict:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     checks = []
+    shared = _SharedProfiles()
     if suite in ("core", "all"):
-        checks += core_suite()
+        checks += core_suite(shared)
     if suite in ("asymptotics", "all"):
-        checks += asymptotics_suite()
+        checks += asymptotics_suite(shared)
     if suite in ("limits", "all"):
         checks += limits_suite()
     passed = sum(1 for c in checks if c["passed"])

@@ -18,6 +18,7 @@ from nil3trans.asymptotics import (
 )
 from nil3trans.families import (
     GrimReaperParams,
+    ProfileCurve,
     solve_bowl,
     solve_catenoid,
     solve_grim_reaper,
@@ -147,6 +148,58 @@ class TestRotationalFits:
         prof = solve_grim_reaper(GrimReaperParams(1.0, 0.0), derived=False)
         with pytest.raises(ValueError):
             fit_rotational_asymptotics(1.0, prof)
+
+
+class _TailTrajectory:
+    """A bowl trajectory stand-in whose tail is psi = r/sqrt(lam) + q(r)."""
+
+    t_end = 200.0
+
+    def __init__(self, lam, q):
+        self.lam, self.q = lam, q
+
+    def __call__(self, r):
+        return np.column_stack([np.zeros_like(r), r / math.sqrt(self.lam) + self.q(r)])
+
+
+def synthetic_arm(lam, q):
+    return ProfileCurve("bowl", {"lam": lam}, np.empty(0), {}, [_TailTrajectory(lam, q)])
+
+
+class TestVariableProjectionFit:
+    """The supercritical fit on exact tails q = C1 r^(e-1) + C2/r."""
+
+    @pytest.mark.parametrize("e", [0.3, 0.556, 0.75, 0.95])
+    def test_recovers_noise_free_tail(self, e):
+        c1, c2 = -0.4, 0.29
+        fit = fit_rotational_asymptotics(
+            9.0, synthetic_arm(9.0, lambda r: c1 * r ** (e - 1.0) + c2 / r))
+        assert fit.window == (100.0, 200.0)
+        assert fit.exponent == pytest.approx(e, rel=1e-8)
+        assert fit.details["C0"] * fit.exponent == pytest.approx(c1, rel=1e-8)
+        assert fit.details["C2"] == pytest.approx(c2, rel=1e-8)
+        assert fit.rel_residual < 1e-12
+
+    @pytest.mark.parametrize("lam", [9.0, 16.0])
+    def test_exponent_matches_curve_fit(self, lam):
+        optimize = pytest.importorskip("scipy.optimize")
+        arm = solve_bowl(lam, 200.0, n_samples=400)
+        fit = fit_rotational_asymptotics(lam, arm)
+        # the model and starting point of the reference nonlinear fit
+        r = np.linspace(100.0, 200.0, 400)
+        q = arm.trajectories[0](r)[:, 1] - r / math.sqrt(lam)
+        e0 = 1.0 - 4.0 / lam
+        popt, _ = optimize.curve_fit(
+            lambda r, c1, e, c2: c1 * np.power(r, e - 1.0) + c2 / r, r, q,
+            p0=(q[-1] * r[-1] ** (1.0 - e0), e0, 0.0), maxfev=20000)
+        assert fit.exponent == pytest.approx(popt[1], rel=1e-8)
+
+    @pytest.mark.parametrize("e", [-0.8, 1.5])
+    def test_no_interior_minimum_raises(self, e):
+        # the best exponent lies outside [e0 - 1/2, 0.999] with e0 = 5/9
+        arm = synthetic_arm(9.0, lambda r: r ** (e - 1.0))
+        with pytest.raises(RuntimeError):
+            fit_rotational_asymptotics(9.0, arm)
 
 
 class TestEndpointFits:

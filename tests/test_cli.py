@@ -118,6 +118,18 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
+    def test_runtime_imports_no_scipy(self):
+        # scipy is a test-only dependency; the installed program needs numpy only
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(nil3trans.__file__)),
+                          os.environ.get("PYTHONPATH")])))
+        code = ("import sys, nil3trans.cli; "
+                "assert not [m for m in sys.modules if m == 'scipy' "
+                "or m.startswith('scipy.')]")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+
     def test_numerical_failure_exit_code(self, capsys):
         # the neck at lambda = 100, f0 = 0.01 is not convex near its apex
         assert main(["catenoid", "--lambda", "100", "--f0", "0.01"]) == 3
@@ -129,6 +141,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["helicoid", "--span", "-3"],
+        ["helicoid", "--span", "1e300"],  # once ran until killed
         ["bowl", "--span", "1e6"],  # samples past the blow-up stop
         ["catenoid", "--span", "1e6"],
         ["bowl", "--span", "1e-5"],  # below the series start
