@@ -11,8 +11,6 @@ from __future__ import annotations
 import io
 import json
 
-import numpy as np
-
 from .families import Mesh, ProfileCurve
 
 SCHEMA_VERSION = "1"
@@ -51,16 +49,6 @@ def csv_text(profile: ProfileCurve) -> str:
         row = [fmt(t)] + [fmt(profile.data[c][i]) for c in cols]
         out.write(",".join(row) + "\n")
     return out.getvalue()
-
-
-def parse_csv(path):
-    """Re-parse an exported CSV; returns (column names, float array)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array([[float(v) for v in row] for row in rows]) \
-        if rows else np.empty((0, len(header)))
-    return header, data
 
 
 def obj_text(mesh: Mesh, scalar: str = "H") -> str:

@@ -29,11 +29,14 @@ from .core import (
     killing_eval,
     metric,
     sectional_curvature,
-    vertical_translation_field,
 )
 from .surface import GraphJet, gaussian_curvature, graph_shape, intrinsic_curvature
 
 SUITES = ("core", "asymptotics", "limits", "all")
+
+# (lam, c, r0) of the helicoid checks; (1, 1, 1) is also the residual check's
+_HELICOID_GRID = [(lam, c, r0) for lam in (1.0, 4.0) for c in (0.5, 1.0, 2.0)
+                  for r0 in (0.5, 1.0, 2.0)]
 
 
 def _check(name, anchor, expected, computed, tolerance, kind="abs"):
@@ -81,6 +84,11 @@ class _SharedProfiles:
     def catenoid_1_1(self):
         return fam.solve_catenoid(1.0, 1.0)
 
+    @cached_property
+    def helicoid_grid(self):
+        """The helicoid checks' grid, one profile per entry of _HELICOID_GRID."""
+        return fam.solve_helicoids([fam.HelicoidParams(*g) for g in _HELICOID_GRID])
+
 
 # ---------------------------------------------------------------------------
 # core suite
@@ -89,7 +97,7 @@ class _SharedProfiles:
 def _core_kernel_checks():
     checks = []
     rng = np.random.default_rng(20260823)
-    pts = [Point(*rng.uniform(-3, 3, 3)) for _ in range(60)]
+    pts = [Point(*rng.uniform(-3, 3, 3)) for _ in range(120)]
 
     assoc = 0.0
     for p, q, r in zip(pts[::3], pts[1::3], pts[2::3]):
@@ -101,7 +109,7 @@ def _core_kernel_checks():
                          0.0, assoc, 1e-12))
 
     inv = 0.0
-    for p in pts[:20]:
+    for p in pts[:40]:
         e = group_mul(p, group_inv(p))
         inv = max(inv, *(abs(c) for c in e.coords()))
     checks.append(_check("group-inverse", "Nil3 group law", 0.0, inv, 1e-12))
@@ -260,7 +268,7 @@ def _residual_checks(shared):
         "grim": shared.grim_1_1,
         "bowl": shared.bowl_1_200,
         "catenoid": shared.catenoid_1_1,
-        "helicoid": fam.solve_helicoid(fam.HelicoidParams(1.0, 1.0, 1.0)),
+        "helicoid": shared.helicoid_grid[_HELICOID_GRID.index((1.0, 1.0, 1.0))],
     }
     for name, prof in reps.items():
         checks.append(_check(f"residual-{name}",
@@ -363,15 +371,11 @@ def _bowl_checks(prof):
     return checks
 
 
-def _helicoid_checks():
+def _helicoid_checks(profs):
     checks = []
-    grid = [(lam, c, r0) for lam in (1.0, 4.0) for c in (0.5, 1.0, 2.0)
-            for r0 in (0.5, 1.0, 2.0)]
-    profs = fam.solve_helicoids([fam.HelicoidParams(*g) for g in grid])
-
     fails = {"r2-min": 0, "tau-zero": 0, "nu-zeros": 0, "winding": 0,
              "k-decay": 0, "kprime-sign": 0}
-    for (lam, c, r0), prof in zip(grid, profs):
+    for (lam, c, r0), prof in zip(_HELICOID_GRID, profs):
         ss = prof.t
         d = prof.data
         r2, tau, nu, k = d["r2"], d["tau"], d["nu"], d["k"]
@@ -427,7 +431,7 @@ def core_suite(shared):
     checks += _curvature_checks(shared.grim_1_0)
     checks += _residual_checks(shared)
     checks += _bowl_checks(shared.bowl_1_200)
-    checks += _helicoid_checks()
+    checks += _helicoid_checks(shared.helicoid_grid)
     return checks
 
 
@@ -439,7 +443,9 @@ def asymptotics_suite(shared):
     checks = []
     tol = {1.0: 0.03, 2.0: 0.03, 4.0: 0.05, 9.0: 0.03, 16.0: 0.03}
     for lam in (1.0, 2.0, 4.0, 9.0, 16.0):
-        arm = fam.solve_bowl(lam, 200.0, n_samples=400)
+        # the fit reads the trajectory only, so the shared bowl serves lam = 1
+        arm = shared.bowl_1_200 if lam == 1.0 else \
+            fam.solve_bowl(lam, 200.0, n_samples=400)
         fit = asym.fit_rotational_asymptotics(lam, arm)
         anchor = {
             "subcritical": "Lemma 4.2(i): -4/(sqrt(lam)(4-lam)) log r",

@@ -1,56 +1,19 @@
 """Acceptance gate: ten end-to-end criteria, one pass/fail line each.
 
-Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to see the
-per-criterion lines even for passing tests).
+Each paper check is implemented once, in ``nil3trans.verify``; criteria 1-9
+read the named check records that verify returns and hold each ``computed``
+value to the criterion's own bound.  Run with ``pytest -v
+tests/test_acceptance.py`` (add ``-s`` to see the per-criterion lines even
+for passing tests).
 """
 
-import math
 import time
 
-import numpy as np
 import pytest
 
 from nil3trans import exports, verify
-from nil3trans.asymptotics import (
-    fit_rotational_asymptotics,
-    grim_endpoint_fit,
-    horizontal_mean_curvature,
-    limit_bowl,
-    limit_catenoid,
-    limit_grim_reaper,
-)
-from nil3trans.core import (
-    FrameVector,
-    KillingField,
-    ORIGIN,
-    Point,
-    connection_table,
-    covariant_derivative_fd,
-    group_inv,
-    group_mul,
-    killing_eval,
-    metric,
-    sectional_curvature,
-    vertical_translation_field,
-)
-from nil3trans.families import (
-    GrimReaperParams,
-    HelicoidParams,
-    grim_reaper_closed_form,
-    grim_reaper_jet,
-    slab,
-    solve_bowl,
-    solve_catenoid,
-    solve_grim_reaper,
-    solve_helicoid,
-)
-from nil3trans.surface import (
-    gaussian_curvature,
-    graph_shape,
-    intrinsic_curvature,
-)
 
-GRIM_GRID = [(lam, c) for lam in (0.5, 1.0, 4.0) for c in (0.0, 1.0, 2.0)]
+TAIL_TOL = {1: 0.03, 2: 0.03, 4: 0.05, 9: 0.03, 16: 0.03}
 
 
 def report(number, passed, text):
@@ -59,56 +22,57 @@ def report(number, passed, text):
     assert passed, line
 
 
-@pytest.fixture(scope="module")
-def grim_profiles():
-    """The (lambda, c) grid solved at tight tolerance; elapsed time recorded."""
+def by_name(checks):
+    return {chk["name"]: chk for chk in checks}
+
+
+def timed(fn, *args):
     t0 = time.perf_counter()
-    profs = [solve_grim_reaper(GrimReaperParams(*pc), rtol=1e-13, atol=1e-15,
-                               derived=False) for pc in GRIM_GRID]
-    elapsed = time.perf_counter() - t0
-    return dict(zip(GRIM_GRID, profs)), elapsed
+    result = fn(*args)
+    return result, time.perf_counter() - t0
 
 
-def test_criterion_01_closed_form_oracle(grim_profiles):
-    profs, elapsed = grim_profiles
-    sup = 0.0
-    for (lam, c), prof in profs.items():
-        sl = prof.diagnostics["slab"]
-        lo = sl.a_endpoint + 0.05 * sl.width
-        hi = sl.b_endpoint - 0.05 * sl.width
-        mask = (prof.t >= lo) & (prof.t <= hi)
-        for y, gp in zip(prof.t[mask], prof.data["gamma_prime"][mask]):
-            sup = max(sup, abs(gp - grim_reaper_closed_form(lam, c, y)))
+@pytest.fixture(scope="module")
+def suite():
+    """One full verify run: its report, its records by name and its time."""
+    rep, elapsed = timed(verify.run_suite, "all")
+    return rep, by_name(rep["checks"]), elapsed
+
+
+@pytest.fixture(scope="module")
+def grim_grid():
+    """The tight-tolerance grim grid checks of verify, with their wall time."""
+    checks, elapsed = timed(verify._grim_grid_checks)
+    return by_name(checks), elapsed
+
+
+def computed(records, *names):
+    return [records[name]["computed"] for name in names]
+
+
+def test_criterion_01_closed_form_oracle(grim_grid):
+    records, elapsed = grim_grid
+    (sup,) = computed(records, "grim-closed-form-sup-error")
     report(1, sup < 1e-8 and elapsed < 5.0,
            f"integrated gamma' vs closed form sup error {sup:.2e} (< 1e-8) "
            f"over the central 90% of the slab, grid {{0.5,1,4}}x{{0,1,2}}, "
            f"{elapsed:.1f} s (< 5 s)")
 
 
-def test_criterion_02_slab_width(grim_profiles):
-    profs, _ = grim_profiles
-    sup_end, sup_width = 0.0, 0.0
-    for (lam, c), prof in profs.items():
-        sl = prof.diagnostics["slab"]
-        sup_end = max(sup_end,
-                      abs(prof.diagnostics["a_numeric"] - sl.a_endpoint),
-                      abs(prof.diagnostics["b_numeric"] - sl.b_endpoint))
-        s = math.sqrt(lam)
-        formula = 2.0 / s * math.sqrt(1 + lam * c * c) * \
-            math.sinh(0.5 * math.pi * s)
-        sup_width = max(sup_width, abs(sl.width - formula))
+def test_criterion_02_slab_width(grim_grid):
+    records, _ = grim_grid
+    sup_end, sup_width = computed(records, "grim-blow-up-endpoints",
+                                  "grim-width-formula")
     report(2, sup_end < 1e-5 and sup_width < 1e-10,
            f"blow-up endpoints within {sup_end:.2e} (< 1e-5) and width "
            f"formula within {sup_width:.2e} (< 1e-10) on the same grid")
 
 
-def test_criterion_03_translator_residual():
-    sups = {
-        "grim": solve_grim_reaper(GrimReaperParams(1.0, 1.0)).residual_sup,
-        "bowl": solve_bowl(1.0, 200.0).residual_sup,
-        "catenoid": solve_catenoid(1.0, 1.0).residual_sup,
-        "helicoid": solve_helicoid(HelicoidParams(1.0, 1.0, 1.0)).residual_sup,
-    }
+def test_criterion_03_translator_residual(suite):
+    _, records, _ = suite
+    families = ("grim", "bowl", "catenoid", "helicoid")
+    sups = dict(zip(families,
+                    computed(records, *(f"residual-{f}" for f in families))))
     worst = max(sups.values())
     report(3, worst < 1e-7,
            "translator residual |H - g(nu, V)| at every sample of every "
@@ -116,31 +80,12 @@ def test_criterion_03_translator_residual():
            ", ".join(f"{k} {v:.1e}" for k, v in sups.items()))
 
 
-def test_criterion_04_curvature_closed_forms():
-    sup0 = 0.0
-    for lam, c in GRIM_GRID:
-        jet = grim_reaper_jet(lam, c, 0.0, 0.0, 0.0)
-        k0 = gaussian_curvature(graph_shape(lam, jet))
-        expected = -lam * (1 - lam * c * c) ** 2 / (4 * (1 + lam * c * c) ** 2)
-        sup0 = max(sup0, abs(k0 - expected))
-    rng = np.random.default_rng(7)
-    sup_int = 0.0
-    for _ in range(100):
-        lam = float(rng.uniform(0.5, 4.0))
-        c = float(rng.uniform(0.0, 2.0))
-        sl = slab(lam, c)
-        y = float(rng.uniform(sl.a_endpoint + 0.1 * sl.width,
-                              sl.b_endpoint - 0.1 * sl.width))
-        gp = grim_reaper_closed_form(lam, c, y)
-        jet = grim_reaper_jet(lam, c, y, 0.0, gp)
-        a, b = jet.alpha, jet.beta
-        closed = lam * (math.sqrt(lam) * a * b - 1.0) / (
-            (1 + lam * a * a) * (1 + lam * a * a + lam * b * b))
-        shape = graph_shape(lam, jet)
-        sup_int = max(sup_int, abs(intrinsic_curvature(lam, jet, shape) - closed))
-    prof = solve_grim_reaper(GrimReaperParams(1.0, 0.0))
-    ki = prof.data["K_intrinsic"]
-    both = bool(np.min(ki) < 0 < np.max(ki))
+def test_criterion_04_curvature_closed_forms(suite):
+    _, records, _ = suite
+    sup0, sup_int, both = computed(records, "grim-gaussian-at-origin",
+                                   "grim-intrinsic-closed-form",
+                                   "grim-intrinsic-both-signs")
+    both = both == 1.0
     report(4, sup0 < 1e-9 and sup_int < 1e-9 and both,
            f"gaussian at y=0 within {sup0:.1e} and intrinsic closed form "
            f"within {sup_int:.1e} (both < 1e-9) on 100 random points; "
@@ -148,136 +93,70 @@ def test_criterion_04_curvature_closed_forms():
 
 
 def test_criterion_05_rotational_asymptotics():
-    t0 = time.perf_counter()
-    tol = {1.0: 0.03, 2.0: 0.03, 4.0: 0.05, 9.0: 0.03, 16.0: 0.03}
+    checks, elapsed = timed(verify.asymptotics_suite, verify._SharedProfiles())
+    records = by_name(checks)
     details, ok = [], True
-    arms = {lam: solve_bowl(lam, 200.0, n_samples=400) for lam in tol}
-    for lam, arm in arms.items():
-        fit = fit_rotational_asymptotics(lam, arm)
-        rel = abs(fit.coefficient / fit.expected - 1.0)
-        ok = ok and rel < tol[lam]
-        details.append(f"lam={lam:g} {fit.regime} rel {rel:.1%}")
-    elapsed = time.perf_counter() - t0
+    for lam, tol in TAIL_TOL.items():
+        rec = records[f"rotational-tail-lam-{lam}"]
+        rel = abs(rec["computed"] / rec["expected"] - 1.0)
+        ok = ok and rel < tol
+        details.append(f"lam={lam} rel {rel:.1%}")
     report(5, ok and elapsed < 30.0,
            "tail fits (subcritical slope, critical log^2 coefficient, "
            "supercritical exponent) all within tolerance: "
            + "; ".join(details) + f"; {elapsed:.1f} s (< 30 s)")
 
 
-def test_criterion_06_bowl_structure():
-    sup_axis = 0.0
-    for lam in (0.5, 1.0, 4.0):
-        traj = solve_bowl(lam, 1.0, n_samples=50).trajectories[0]
-        psi = traj(1e-3)[1]
-        sup_axis = max(sup_axis,
-                       abs(psi / 1e-3 - 1.0 / (2.0 * math.sqrt(lam))))
-    prof = solve_bowl(1.0, 200.0)
-    tail_rel = abs(prof.data["psi"][-1] / prof.t[-1] - 1.0)
-    positive = bool(np.all(prof.data["psi"] > 0))
+def test_criterion_06_bowl_structure(suite):
+    _, records, _ = suite
+    sup_axis, ratio, positive = computed(records, "bowl-axis-regularity",
+                                         "bowl-tail-slope", "bowl-psi-positive")
+    tail_rel = abs(ratio - 1.0)
+    positive = positive == 1.0
     report(6, sup_axis < 1e-6 and tail_rel < 0.02 and positive,
            f"psi/r -> 1/(2 sqrt(lam)) at the axis within {sup_axis:.1e} "
            f"(< 1e-6); psi/r at r=200 within {tail_rel:.1%} of 1/sqrt(lam) "
            f"(< 2%); psi > 0 throughout: {positive}")
 
 
-def test_criterion_07_helicoid_suite():
-    grid = [(lam, c, r0) for lam in (1.0, 4.0) for c in (0.5, 1.0, 2.0)
-            for r0 in (0.5, 1.0, 2.0)]
-    profs = [solve_helicoid(HelicoidParams(*g)) for g in grid]
-    bad = []
-    for (lam, c, r0), prof in zip(grid, profs):
-        ss, d = prof.t, prof.data
-        r2, tau, nu, k = d["r2"], d["tau"], d["nu"], d["k"]
-        mins = np.nonzero((r2[1:-1] < r2[:-2]) & (r2[1:-1] < r2[2:]))[0]
-        one_min = len(mins) == 1
-        one_tau = int(np.count_nonzero(tau[:-1] * tau[1:] < 0)) == 1
-        crossings = np.nonzero(nu[:-1] * nu[1:] < 0)[0]
-        nu_prime = -k * tau
-        nu_ok = all(0.5 * (nu_prime[i] + nu_prime[i + 1]) >= -1e-10
-                    for i in crossings)
-        w = prof.diagnostics["winding"]
-        last_nu = np.abs(ss[crossings]).max() if len(crossings) else 0.0
-        s_tail = max(10.0, last_nu + 1.0)
-        tp, tm = np.diff(w[ss >= s_tail]), np.diff(w[ss <= -s_tail])
-        winding = (np.all(tp > 0) or np.all(tp < 0)) and \
-                  (np.all(tm > 0) or np.all(tm < 0))
-        k_decay = np.max(np.abs(k[np.abs(ss) >= 40.0])) < \
-            np.max(np.abs(k[np.abs(ss) <= 1.0]))
-        if not (one_min and one_tau and nu_ok and winding and k_decay):
-            bad.append((lam, c, r0))
+def test_criterion_07_helicoid_suite(suite):
+    _, records, _ = suite
+    keys = ("r2-min", "tau-zero", "nu-zeros", "winding", "k-decay")
+    fails = dict(zip(keys, computed(records, *(f"helicoid-{k}" for k in keys))))
+    bad = {k: int(n) for k, n in fails.items() if n != 0}
     report(7, not bad,
            "18-combination helicoid suite (unique r^2 minimum, one tau zero, "
            "nu' >= 0 at nu-zeros, monotone tail winding, k decay): "
-           + ("all pass" if not bad else f"failures at {bad}"))
+           + ("all pass" if not bad else f"failing curves per property {bad}"))
 
 
-def test_criterion_08_large_lambda_limits():
-    rep_g = limit_grim_reaper(0.0, (10.0, 1e2, 1e3, 1e4))
-    grim_ok = rep_g.strictly_decreasing and max(rep_g.details["ratios"]) <= 1.0
-    minimal_ok = rep_g.details["limit_surface_H_sup"] < 1e-12
-    rep_c = limit_catenoid(1.0, (2e3, 8e3, 3.2e4, 1.28e5))
-    quad = rep_c.details["quadrupling_ratio"]
-    cat_ok = rep_c.strictly_decreasing and 1.6 <= quad <= 2.4
-    rep_b = limit_bowl((10.0, 1e2, 1e3))
-    bowl_ok = rep_b.strictly_decreasing
-    from nil3trans.surface import GraphJet
-    plane_sup = max(abs(graph_shape(lam, GraphJet(0.3, -0.7, 1.0,
-                                                  0, 0, 0, 0, 0)).H)
-                    for lam in (10.0, 1e2, 1e3))
-    minimal_ok = minimal_ok and plane_sup < 1e-12
-    ftilde_h = abs(graph_shape(1.0, verify._catenoid_limit_jet(1.0, 1.0)).H)
-    not_minimal = ftilde_h > 1e-3
+def test_criterion_08_large_lambda_limits(suite):
+    _, records, _ = suite
+    (grim_dec, ratio, grim_h, plane_h, cat_dec, quad, bowl_dec,
+     not_minimal) = computed(
+        records, "limit-grim-decreasing", "limit-grim-rate-bounded",
+        "limit-grim-surface-minimal", "limit-plane-minimal",
+        "limit-catenoid-decreasing", "limit-catenoid-quadrupling-ratio",
+        "limit-bowl-decreasing", "limit-catenoid-not-minimal-lam-1")
+    grim_ok = grim_dec == 1.0 and ratio <= 1.0
+    minimal_ok = grim_h < 1e-12 and plane_h < 1e-12
+    cat_ok = cat_dec == 1.0 and 1.6 <= quad <= 2.4
+    bowl_ok = bowl_dec == 1.0
+    not_minimal = not_minimal == 1.0
     report(8, grim_ok and minimal_ok and cat_ok and bowl_ok and not_minimal,
            f"grim sup|gamma| strictly decreasing with bounded ratio: {grim_ok}; "
            f"limit surface minimal to 1e-12: {minimal_ok}; catenoid "
            f"quadrupling ratio {quad:.2f} in [1.6, 2.4]: {cat_ok}; bowl "
            f"strictly decreasing: {bowl_ok}; f~ sweep non-minimal at lam=1 "
-           f"(|H| = {ftilde_h:.2e} > 1e-3): {not_minimal}")
+           f"(|H| > 1e-3): {not_minimal}")
 
 
-def test_criterion_09_geometry_kernel():
-    rng = np.random.default_rng(20260823)
-    assoc = inv = 0.0
-    for _ in range(40):
-        p, q, r = (Point(*rng.uniform(-3, 3, 3)) for _ in range(3))
-        lhs = group_mul(group_mul(p, q), r)
-        rhs = group_mul(p, group_mul(q, r))
-        assoc = max(assoc, *(abs(a - b) for a, b in
-                             zip(lhs.coords(), rhs.coords())))
-        e = group_mul(p, group_inv(p))
-        inv = max(inv, *(abs(v) for v in e.coords()))
-    ortho = 0.0
-    for lam in (0.25, 1.0, 4.0):
-        s = math.sqrt(lam)
-        basis = [FrameVector(ORIGIN, 1, 0, 0), FrameVector(ORIGIN, 0, 1, 0),
-                 FrameVector(ORIGIN, 0, 0, 1 / s)]
-        for i, u in enumerate(basis):
-            for j, w in enumerate(basis):
-                ortho = max(ortho, abs(metric(lam, u, w) - (i == j)))
-    tor = sec = 0.0
-    for lam in (0.5, 1.0, 4.0):
-        dxy = connection_table(lam, "X", "Y")
-        dyx = connection_table(lam, "Y", "X")
-        diff = tuple(a - b for a, b in zip(dxy, dyx))
-        tor = max(tor, abs(diff[0]), abs(diff[1]), abs(diff[2] - 1.0))
-        vx = FrameVector(ORIGIN, 1, 0, 0)
-        vy = FrameVector(ORIGIN, 0, 1, 0)
-        vz = FrameVector(ORIGIN, 0, 0, 1.0)
-        sec = max(sec,
-                  abs(sectional_curvature(lam, vx, vy) + 0.75 * lam),
-                  abs(sectional_curvature(lam, vx, vz) - 0.25 * lam),
-                  abs(sectional_curvature(lam, vy, vz) - 0.25 * lam))
-    kill = 0.0
-    for lam in (0.5, 2.0):
-        for i in (1, 2, 3, 4):
-            f = KillingField(**{f"a{i}": 1.0})
-            for _ in range(5):
-                p = Point(*rng.uniform(-2, 2, 3))
-                u = FrameVector(p, *rng.uniform(-1, 1, 3))
-                w = FrameVector(p, *rng.uniform(-1, 1, 3))
-                du = covariant_derivative_fd(lam, lambda q: killing_eval(f, q), u)
-                dw = covariant_derivative_fd(lam, lambda q: killing_eval(f, q), w)
-                kill = max(kill, abs(metric(lam, du, w) + metric(lam, dw, u)))
+def test_criterion_09_geometry_kernel(suite):
+    _, records, _ = suite
+    assoc, inv, ortho, tor, sec, kill = computed(
+        records, "group-associativity", "group-inverse",
+        "frame-orthonormality", "connection-torsion-free",
+        "sectional-curvatures", "killing-identity")
     ok = assoc < 1e-12 and inv < 1e-12 and ortho == 0.0 and \
         tor < 1e-15 and sec < 1e-13 and kill < 1e-6
     report(9, ok,
@@ -287,13 +166,13 @@ def test_criterion_09_geometry_kernel():
            f"{kill:.1e} (< 1e-6)")
 
 
-def test_criterion_10_determinism_and_runtime():
-    t0 = time.perf_counter()
-    r1 = exports.report_text(verify.run_suite("all"))
-    r2 = exports.report_text(verify.run_suite("all"))
-    elapsed = time.perf_counter() - t0
+def test_criterion_10_determinism_and_runtime(suite):
+    rep, _, first_s = suite
+    r1 = exports.report_text(rep)
+    r2, second_s = timed(lambda: exports.report_text(verify.run_suite("all")))
+    elapsed = first_s + second_s
     identical = r1.encode() == r2.encode()
-    passed_flag = '"passed": true' in r1
+    passed_flag = rep["passed"] is True
     report(10, identical and elapsed < 180.0 and passed_flag,
            f"two consecutive full verification runs byte-identical: "
            f"{identical}; all checks passing: {passed_flag}; both runs in "

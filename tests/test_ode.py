@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ class TestTableau:
             (ref.N_STAGES, ref.N_STAGES_EXTENDED, ref.INTERPOLATOR_POWER)
 
     def test_runtime_does_not_import_scipy(self):
-        source = open(ode.__file__, encoding="utf-8").read()
+        source = Path(ode.__file__).read_text(encoding="utf-8")
         assert "import scipy" not in source and "from scipy" not in source
 
 

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from nil3trans import families, verify
 from nil3trans.verify import _polyline_embedded
 
 
@@ -51,3 +52,26 @@ class TestPolylineEmbedded:
             verdicts.append(embedded_oracle(pts))
             assert _polyline_embedded(profile(pts)) == verdicts[-1]
         assert any(verdicts) and not all(verdicts)
+
+
+def test_run_suite_solves_each_shared_profile_once(monkeypatch):
+    # the residual check reads helicoid (1, 1, 1) from the helicoid grid, and
+    # the lam = 1 tail fit reads the bowl (1, 200) that the core suite solves
+    calls = []
+
+    def spy(name):
+        fn = getattr(families, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(families, name, wrapper)
+
+    spy("solve_bowl")
+    spy("solve_helicoids")
+    assert verify.run_suite("all")["passed"]
+    bowls = [args[:2] for name, args in calls if name == "solve_bowl"]
+    helicoids = [p for name, args in calls if name == "solve_helicoids"
+                 for p in args[0]]
+    assert bowls.count((1.0, 200.0)) == 1
+    assert helicoids.count(families.HelicoidParams(1.0, 1.0, 1.0)) == 1
