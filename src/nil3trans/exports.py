@@ -8,12 +8,16 @@ function of the computed values.
 
 from __future__ import annotations
 
-import io
 import json
+
+import numpy as np
 
 from .families import Mesh, ProfileCurve
 
 SCHEMA_VERSION = "1"
+
+# 17 significant digits: re-parsing reproduces every double exactly
+FLOAT_FORMAT = "%.17g"
 
 # leading parameter column name per family
 _PARAM_COLUMN = {
@@ -35,32 +39,26 @@ _COLUMNS = {
 }
 
 
-def fmt(x) -> str:
-    """17-significant-digit decimal, round-trip exact for doubles."""
-    return format(float(x), ".17g")
+def _table_text(row: str, table) -> str:
+    """One ``row`` template per table row, filled by a single ``%``."""
+    return (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def csv_text(profile: ProfileCurve) -> str:
     cols = _COLUMNS[profile.family]
     header = ",".join((_PARAM_COLUMN[profile.family],) + cols)
-    out = io.StringIO()
-    out.write(header + "\n")
-    for i, t in enumerate(profile.t):
-        row = [fmt(t)] + [fmt(profile.data[c][i]) for c in cols]
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
+    row = ",".join([FLOAT_FORMAT] * (len(cols) + 1))
+    table = np.column_stack([profile.t] + [profile.data[c] for c in cols])
+    return header + "\n" + _table_text(row + "\n", table)
 
 
-def obj_text(mesh: Mesh, scalar: str = "H") -> str:
-    out = io.StringIO()
-    values = mesh.scalars.get(scalar)
-    for i, (x, y, z) in enumerate(mesh.vertices):
-        out.write(f"v {fmt(x)} {fmt(y)} {fmt(z)}\n")
-        if values is not None:
-            out.write(f"# v{scalar} {fmt(values[i])}\n")
-    for face in mesh.faces:
-        out.write("f " + " ".join(str(i) for i in face) + "\n")
-    return out.getvalue()
+def obj_text(mesh: Mesh) -> str:
+    row = f"v {FLOAT_FORMAT} {FLOAT_FORMAT} {FLOAT_FORMAT}\n"
+    table = mesh.vertices
+    if "H" in mesh.scalars:
+        row += "# vH " + FLOAT_FORMAT + "\n"
+        table = np.column_stack([table, mesh.scalars["H"]])
+    return _table_text(row, table) + _table_text("f %d %d %d %d\n", mesh.faces)
 
 
 def report_text(report: dict) -> str:

@@ -65,7 +65,7 @@ class Mesh:
     """Quad mesh swept from a profile curve by a one-parameter group."""
 
     vertices: np.ndarray  # (n, 3)
-    faces: list  # 1-based quad index tuples
+    faces: np.ndarray  # (m, 4) 1-based quad vertex indices
     scalars: dict  # per-vertex arrays, e.g. H / residual / K_gauss
     closed: bool
     shape: tuple  # (n_profile, n_sweep)
@@ -254,14 +254,12 @@ def rotational_rhs(lam: float, r, phi_p):
     )
 
 
-def radial_graph_jet(lam: float, r, phi, phi_p, phi_pp=None) -> GraphJet:
+def radial_graph_jet(lam: float, r, phi, phi_p) -> GraphJet:
     """Graph jet of z = phi(sqrt(x^2+y^2)) at (x, y) = (r, 0), per sample."""
-    if phi_pp is None:
-        phi_pp = rotational_rhs(lam, r, phi_p)
     return GraphJet(
         x=r, y=0.0, u=phi,
         u_x=phi_p, u_y=0.0,
-        u_xx=phi_pp, u_xy=0.0, u_yy=phi_p / r,
+        u_xx=rotational_rhs(lam, r, phi_p), u_xy=0.0, u_yy=phi_p / r,
     )
 
 
@@ -340,11 +338,10 @@ def catenoid_neck(lam: float, f0: float, z_max: float,
     return f, (up, down)
 
 
-def neck_patch_jet(lam: float, z, f, f_p, f_pp=None, v2: float = 0.0) -> PatchJet:
+def neck_patch_jet(lam: float, z, f, f_p, v2: float = 0.0) -> PatchJet:
     """Patch jet of the revolution surface (f(v1)cos v2, f(v1)sin v2, v1) at
     height z = v1, per sample."""
-    if f_pp is None:
-        f_pp = catenoid_neck_rhs(lam, f, f_p)
+    f_pp = catenoid_neck_rhs(lam, f, f_p)
     cv, sv = math.cos(v2), math.sin(v2)
     p = Point(f * cv, f * sv, z)
     v1 = (f_p * cv, f_p * sv, 1.0)
@@ -585,8 +582,13 @@ def helicoid_kprime_numerator(lam: float, c: float, tau: float, nu: float) -> fl
 # planar Euclidean grim reaper (vertical-cylinder translator)
 
 
-def planar_grim_reaper(direction, n_samples: int = 2001,
-                       margin: float = 0.01) -> ProfileCurve:
+# samples of the planar grim reaper, and the distance of its end samples from
+# the asymptotes x = +-width/2, in units of 1/speed
+PLANAR_GRIM_SAMPLES = 2001
+PLANAR_GRIM_MARGIN = 0.01
+
+
+def planar_grim_reaper(direction) -> ProfileCurve:
     """The Euclidean grim reaper translating along ``direction``.
 
     The base curve y = -log(cos x) (unit speed along (0, 1)) is scaled by the
@@ -598,8 +600,9 @@ def planar_grim_reaper(direction, n_samples: int = 2001,
     if not 0.0 < speed < math.inf:
         raise ValueError("direction must be finite and nonzero")
     width = math.pi / speed
-    xs = np.linspace(-0.5 * width + margin / speed, 0.5 * width - margin / speed,
-                     n_samples)
+    margin = PLANAR_GRIM_MARGIN / speed
+    xs = np.linspace(-0.5 * width + margin, 0.5 * width - margin,
+                     PLANAR_GRIM_SAMPLES)
     h = -np.log(np.cos(speed * xs)) / speed
     hp = np.tan(speed * xs)
     k = speed * np.cos(speed * xs)  # curvature h''/(1+h'^2)^{3/2} in closed form
@@ -676,64 +679,49 @@ def _adaptive_indices(profile: ProfileCurve, n: int):
 
 
 def sweep_surface(profile: ProfileCurve, n_profile: int = 100, n_sweep: int = 60,
-                  sweep_range: tuple | None = None,
-                  max_vertices: int = 100_000) -> Mesh:
-    """Sweep a profile curve by its family's one-parameter group into a quad mesh."""
+                  sweep_range: tuple | None = None) -> Mesh:
+    """Sweep a profile curve by its family's one-parameter group into a quad mesh.
+
+    Vertex ``j * n_profile + i`` is profile point ``i`` moved by the group
+    element of parameter ``us[j]``; faces run over rings, then the profile.
+    """
     group = _FAMILY_GROUP[profile.family]
-    if n_profile * n_sweep > max_vertices:
-        n_profile = max(2, max_vertices // n_sweep)
     pts, scalars = _profile_points(profile)
     idx = _adaptive_indices(profile, n_profile)
     pts = pts[idx]
     scalars = {k: v[idx] for k, v in scalars.items()}
     n_profile = len(pts)
 
-    closed = False
-    if group == "rotation":
-        closed = True
+    closed = group == "rotation"
+    if closed:
         us = np.linspace(0.0, 2.0 * math.pi, n_sweep, endpoint=False)
     else:
         lo, hi = sweep_range if sweep_range is not None else (-5.0, 5.0)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("sweep range must be finite")
         us = np.linspace(lo, hi, n_sweep)
 
     c = profile.params.get("c", profile.params.get("pitch", 0.0))
-    verts = np.empty((n_profile * n_sweep, 3))
-    for j, u in enumerate(us):
-        if group == "translation":
-            q = group_mul(Point(u, 0.0, c * u), Point(*pts.T))
-            verts[j * n_profile:(j + 1) * n_profile] = np.column_stack(q.coords())
-        elif group == "rotation":
-            cu, su = math.cos(u), math.sin(u)
-            block = np.column_stack([
-                cu * pts[:, 0] - su * pts[:, 1],
-                su * pts[:, 0] + cu * pts[:, 1],
-                pts[:, 2],
-            ])
-            verts[j * n_profile:(j + 1) * n_profile] = block
-        elif group == "helicoidal":
-            cu, su = math.cos(u), math.sin(u)
-            block = np.column_stack([
-                cu * pts[:, 0] - su * pts[:, 1],
-                su * pts[:, 0] + cu * pts[:, 1],
-                pts[:, 2] + c * u,
-            ])
-            verts[j * n_profile:(j + 1) * n_profile] = block
-        else:  # vertical translation of a cylinder profile
-            block = pts.copy()
-            block[:, 2] += u
-            verts[j * n_profile:(j + 1) * n_profile] = block
+    u = us[:, None]
+    x, y, z = pts.T
+    verts = np.empty((n_sweep, n_profile, 3))
+    if group == "translation":
+        q = group_mul(Point(u, 0.0, c * u), Point(x, y, z))
+        verts[..., 0], verts[..., 1], verts[..., 2] = q.coords()
+    elif group == "vertical":
+        verts[..., 0], verts[..., 1], verts[..., 2] = x, y, z + u
+    else:  # rotation about the z-axis, lifted by c*u for the helicoidal group
+        cu, su = np.cos(u), np.sin(u)
+        verts[..., 0] = cu * x - su * y
+        verts[..., 1] = su * x + cu * y
+        verts[..., 2] = z + c * u if group == "helicoidal" else z
 
-    faces = []
     n_rings = n_sweep if closed else n_sweep - 1
-    for j in range(n_rings):
-        j2 = (j + 1) % n_sweep
-        for i in range(n_profile - 1):
-            faces.append((
-                j * n_profile + i + 1,
-                j * n_profile + i + 2,
-                j2 * n_profile + i + 2,
-                j2 * n_profile + i + 1,
-            ))
+    ring = np.arange(n_rings)[:, None] * n_profile
+    next_ring = (np.arange(1, n_rings + 1)[:, None] % n_sweep) * n_profile
+    i = np.arange(1, n_profile)
+    faces = np.stack([ring + i, ring + i + 1, next_ring + i + 1, next_ring + i],
+                     axis=-1).reshape(-1, 4)
     tiled = {k: np.tile(v, n_sweep) for k, v in scalars.items()}
-    return Mesh(vertices=verts, faces=faces, scalars=tiled, closed=closed,
-                shape=(n_profile, n_sweep))
+    return Mesh(vertices=verts.reshape(-1, 3), faces=faces, scalars=tiled,
+                closed=closed, shape=(n_profile, n_sweep))

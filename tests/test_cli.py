@@ -13,6 +13,7 @@ from nil3trans import exports
 from nil3trans.cli import build_parser, main
 from nil3trans.families import (
     GrimReaperParams,
+    Mesh,
     planar_grim_reaper,
     ProfileCurve,
     solve_bowl,
@@ -36,9 +37,31 @@ class TestExports:
         assert np.array_equal(data[:, 1], prof.data["gamma"])
         assert np.array_equal(data[:, 2], prof.data["gamma_prime"])
 
-    def test_fmt_round_trip(self):
-        for x in (math.pi, 1.0 / 3.0, -1e-300, 4.60260, 0.1 + 0.2):
-            assert float(exports.fmt(x)) == x
+    def test_writers_match_per_value_format(self):
+        # the one-pass writers against a per-value join built here
+        values = np.array([-0.0, 5e-324, 1e308, math.pi, 1.0 / 3.0, 0.1 + 0.2])
+        ref = lambda xs: [format(float(x), ".17g") for x in xs]
+        cols = ("y", "px", "py", "curvature", "residual")
+        data = {c: np.roll(values, k + 1) for k, c in enumerate(cols)}
+        prof = ProfileCurve("planar-grim", {}, values, data)
+        rows = zip(ref(values), *(ref(data[c]) for c in cols))
+        assert exports.csv_text(prof) == "x," + ",".join(cols) + "\n" + "".join(
+            ",".join(row) + "\n" for row in rows)
+
+        verts = values.reshape(2, 3)
+        faces = np.array([[1, 2, 2, 1], [2, 1, 1, 2]])
+        f_lines = "f 1 2 2 1\nf 2 1 1 2\n"
+        bare = Mesh(verts, faces, {}, False, (2, 1))
+        assert exports.obj_text(bare) == "".join(
+            "v " + " ".join(ref(v)) + "\n" for v in verts) + f_lines
+        h = values[::-1][:2]
+        with_h = Mesh(verts, faces, {"H": h}, False, (2, 1))
+        assert exports.obj_text(with_h) == "".join(
+            "v " + " ".join(ref(v)) + "\n# vH " + ref([hv])[0] + "\n"
+            for v, hv in zip(verts, h)) + f_lines
+        # and each 17-digit value parses back to the same double
+        assert [float(t) for t in ref(values)] == values.tolist()
+        assert math.copysign(1.0, float(ref(values)[0])) == -1.0
 
     def test_empty_profile_header_only(self):
         prof = ProfileCurve("planar-grim", {}, np.empty(0),
@@ -153,6 +176,9 @@ class TestCli:
         ["helicoid", "--lambda", "inf"],
         ["grim", "--lambda", "nan"],
         ["catenoid", "--lambda", "inf"],
+        ["grim", "--span", "nan", "--format", "obj"],  # once wrote nan vertices
+        ["planar-grim", "--span", "nan", "--format", "obj"],
+        ["grim", "--span", "inf", "--format", "obj"],  # once warned from linspace
     ], ids=" ".join)
     def test_out_of_domain_exit_code(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:

@@ -338,11 +338,20 @@ class TestSweepSurface:
             assert len(v) == n_verts
         assert np.max(np.abs(mesh.scalars["residual"])) < 1e-7
 
-    def test_vertex_budget(self):
-        prof = solve_bowl(1.0, 5.0)
-        mesh = sweep_surface(prof, n_profile=5000, n_sweep=60,
-                             max_vertices=6000)
-        assert len(mesh.vertices) <= 6000
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_faces_match_nested_loops(self, closed):
+        prof = solve_bowl(1.0, 5.0) if closed else planar_grim_reaper((0.0, 1.0))
+        mesh = sweep_surface(prof, n_profile=9, n_sweep=5)
+        assert mesh.closed == closed
+        n_p, n_s = mesh.shape
+        expected = []
+        for j in range(n_s if closed else n_s - 1):
+            j2 = (j + 1) % n_s
+            for i in range(n_p - 1):
+                expected.append((j * n_p + i + 1, j * n_p + i + 2,
+                                 j2 * n_p + i + 2, j2 * n_p + i + 1))
+        assert mesh.faces.shape == (len(expected), 4)
+        assert [tuple(f) for f in mesh.faces.tolist()] == expected
 
     def test_helicoidal_sweep(self):
         prof = solve_helicoid(HelicoidParams(1.0, 1.0, 1.0), s_span=5.0)
