@@ -24,9 +24,9 @@ import numpy as np
 
 from .families import (
     ProfileCurve,
-    catenoid_neck,
-    grim_reaper_on_window,
-    solve_bowl,
+    catenoid_necks,
+    grim_reapers_on_window,
+    solve_bowls,
 )
 from .surface import GraphJet, graph_shape
 
@@ -284,8 +284,7 @@ def limit_grim_reaper(c: float, lams, k_window: float = 1.0,
     lams = _check_grid(lams)
     ys = np.linspace(-k_window, k_window, n_samples)
     sups, sups_p, ratios = [], [], []
-    for lam in lams:
-        gamma = grim_reaper_on_window(lam, c, k_window)
+    for lam, gamma in zip(lams, grim_reapers_on_window(lams, c, k_window)):
         vals = gamma(ys)
         sups.append(float(np.max(np.abs(vals[:, 0]))))
         sups_p.append(float(np.max(np.abs(vals[:, 1]))))
@@ -293,13 +292,10 @@ def limit_grim_reaper(c: float, lams, k_window: float = 1.0,
         ratios.append(sups[-1] / scale)
     rate = _loglog_rate(lams, sups)
     # the limit surface z = xy/2 + cx is a minimal graph: H vanishes
-    h_sup = 0.0
-    for x in np.linspace(-2, 2, 7):
-        for y in np.linspace(-2, 2, 7):
-            jet = GraphJet(x, y, 0.5 * x * y + c * x, 0.5 * y + c, 0.5 * x,
-                           0.0, 0.5, 0.0)
-            for lam in lams:
-                h_sup = max(h_sup, abs(graph_shape(lam, jet).H))
+    x, y = (v.ravel() for v in np.meshgrid(np.linspace(-2, 2, 7), np.linspace(-2, 2, 7),
+                                          indexing="ij"))
+    jet = GraphJet(x, y, 0.5 * x * y + c * x, 0.5 * y + c, 0.5 * x, 0.0, 0.5, 0.0)
+    h_sup = max(float(np.max(np.abs(graph_shape(lam, jet).H))) for lam in lams)
     return LimitReport(
         "grim", lams, tuple(sups), rate,
         {"sup_gamma_prime": tuple(sups_p), "ratios": tuple(ratios),
@@ -311,8 +307,7 @@ def limit_bowl(lams, k_window: float = 2.0) -> LimitReport:
     """Collapse of the bowl onto the horizontal plane z = 0 on r <= k_window."""
     lams = _check_grid(lams)
     sups, psi_sups, c_fits = [], [], []
-    for lam in lams:
-        prof = solve_bowl(lam, k_window, n_samples=400)
+    for lam, prof in zip(lams, solve_bowls(lams, k_window, n_samples=400)):
         sups.append(float(np.max(np.abs(prof.data["phi"]))))
         psi_sup = float(np.max(np.abs(prof.data["psi"])))
         psi_sups.append(psi_sup)
@@ -333,8 +328,7 @@ def limit_catenoid(f0: float, lams, k_window: float = 2.0,
     zs = np.linspace(-k_window, k_window, n_samples)
     target = np.sqrt(4.0 * zs * zs + f0**4) / f0
     sups = []
-    for lam in lams:
-        f, (up, down) = catenoid_neck(lam, f0, k_window)
+    for lam, (f, (up, down)) in zip(lams, catenoid_necks(lams, f0, k_window)):
         if up.termination != "span_end" or down.termination != "span_end":
             # the lower branch turns vertical before the window edge: the
             # neck is a graph over z only for lambda large enough

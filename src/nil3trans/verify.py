@@ -34,6 +34,10 @@ from .surface import GraphJet, gaussian_curvature, graph_shape, intrinsic_curvat
 
 SUITES = ("core", "asymptotics", "limits", "all")
 
+# lambdas of the rotational tail fits; lam = 1 is also the bowl of the core
+# suite
+_BOWL_TAIL_LAMS = (1.0, 2.0, 4.0, 9.0, 16.0)
+
 # (lam, c, r0) of the helicoid checks; (1, 1, 1) is also the residual check's
 _HELICOID_GRID = [(lam, c, r0) for lam in (1.0, 4.0) for c in (0.5, 1.0, 2.0)
                   for r0 in (0.5, 1.0, 2.0)]
@@ -65,20 +69,32 @@ def _check(name, anchor, expected, computed, tolerance, kind="abs"):
 
 class _SharedProfiles:
     """The representative profiles that checks in more than one place solve
-    with identical arguments, each solved on first use.  One instance serves
-    one ``run_suite`` call, so a later call solves them afresh."""
+    with identical arguments, each solved on first use, and solved together
+    with the profiles of one right-hand side that they share a call with.
+    One instance serves one ``run_suite`` call, so a later call solves them
+    afresh."""
 
     @cached_property
+    def _grims(self):
+        return fam.solve_grim_reapers([fam.GrimReaperParams(1.0, 0.0),
+                                       fam.GrimReaperParams(1.0, 1.0)])
+
+    @property
     def grim_1_0(self):
-        return fam.solve_grim_reaper(fam.GrimReaperParams(1.0, 0.0))
+        return self._grims[0]
 
-    @cached_property
+    @property
     def grim_1_1(self):
-        return fam.solve_grim_reaper(fam.GrimReaperParams(1.0, 1.0))
+        return self._grims[1]
 
     @cached_property
+    def bowls_200(self):
+        """Bowls to r = 200, one per entry of _BOWL_TAIL_LAMS."""
+        return fam.solve_bowls(_BOWL_TAIL_LAMS, 200.0)
+
+    @property
     def bowl_1_200(self):
-        return fam.solve_bowl(1.0, 200.0)
+        return self.bowls_200[0]
 
     @cached_property
     def catenoid_1_1(self):
@@ -341,9 +357,9 @@ def _segments_cross(a, b, c, d):
 def _bowl_checks(prof):
     checks = []
     sup_origin = 0.0
-    for lam in (0.5, 1.0, 4.0):
-        traj = fam.solve_bowl(lam, 1.0, n_samples=50).trajectories[0]
-        psi = traj(1e-3)[1]
+    lams = (0.5, 1.0, 4.0)
+    for lam, bowl in zip(lams, fam.solve_bowls(lams, 1.0, n_samples=50)):
+        psi = bowl.trajectories[0](1e-3)[1]
         sup_origin = max(sup_origin, abs(psi / 1e-3 - 1.0 / (2.0 * math.sqrt(lam))))
     checks.append(_check("bowl-axis-regularity",
                          "bowl condition psi/r -> 1/(2 sqrt(lam)) at r -> 0",
@@ -442,10 +458,9 @@ def core_suite(shared):
 def asymptotics_suite(shared):
     checks = []
     tol = {1.0: 0.03, 2.0: 0.03, 4.0: 0.05, 9.0: 0.03, 16.0: 0.03}
-    for lam in (1.0, 2.0, 4.0, 9.0, 16.0):
-        # the fit reads the trajectory only, so the shared bowl serves lam = 1
-        arm = shared.bowl_1_200 if lam == 1.0 else \
-            fam.solve_bowl(lam, 200.0, n_samples=400)
+    # the fit reads the trajectory only, so the sample count of the shared
+    # bowls does not enter
+    for lam, arm in zip(_BOWL_TAIL_LAMS, shared.bowls_200):
         fit = asym.fit_rotational_asymptotics(lam, arm)
         anchor = {
             "subcritical": "Lemma 4.2(i): -4/(sqrt(lam)(4-lam)) log r",

@@ -259,7 +259,7 @@ class TestLimits:
     def test_catenoid_window_guard(self):
         # at moderate lambda the lower neck branch turns vertical before
         # z = -2, so the window is not covered and the report must refuse
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lambda=10.0 "):
             limit_catenoid(1.0, (10.0, 100.0))
 
     def test_grid_validation(self):

@@ -179,6 +179,9 @@ class TestCli:
         ["grim", "--span", "nan", "--format", "obj"],  # once wrote nan vertices
         ["planar-grim", "--span", "nan", "--format", "obj"],
         ["grim", "--span", "inf", "--format", "obj"],  # once warned from linspace
+        ["grim", "--span", "0", "--format", "obj"],  # once wrote 60 copies of one ring
+        ["grim", "--span", "-1", "--format", "obj"],  # once reversed the faces
+        ["planar-grim", "--span", "0", "--format", "obj"],
     ], ids=" ".join)
     def test_out_of_domain_exit_code(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:

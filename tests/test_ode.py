@@ -10,8 +10,14 @@ from nil3trans import ode
 from nil3trans.families import (
     GrimReaperParams,
     HelicoidParams,
+    catenoid_neck,
+    catenoid_necks,
+    grim_reaper_on_window,
     grim_reaper_rhs,
+    grim_reapers_on_window,
     slab,
+    solve_bowl,
+    solve_bowls,
     solve_grim_reaper,
     solve_grim_reapers,
     solve_helicoid,
@@ -202,6 +208,46 @@ class TestLanes:
                 same_trajectory(a, b)
             for key, col in alone.data.items():
                 assert np.array_equal(prof.data[key], col), key
+
+    def test_bowl_lanes_match_single_solves(self):
+        lams = (0.5, 1.0, 4.0, 9.0)
+        batch = solve_bowls(lams, 20.0, n_samples=300)
+        for lam, prof in zip(lams, batch):
+            alone = solve_bowl(lam, 20.0, n_samples=300)
+            same_trajectory(prof.trajectories[0], alone.trajectories[0])
+            assert prof.diagnostics == alone.diagnostics
+            assert np.array_equal(prof.t, alone.t)
+            assert prof.data.keys() == alone.data.keys()
+            for key, col in alone.data.items():
+                assert np.array_equal(prof.data[key], col), key
+
+    def test_window_lanes_match_single_solves(self):
+        lams, c, y_max = (10.0, 100.0, 1000.0), 0.5, 1.0
+        ys = np.linspace(-y_max, y_max, 201)
+        for lam, gamma in zip(lams, grim_reapers_on_window(lams, c, y_max)):
+            alone = grim_reaper_on_window(lam, c, y_max)
+            assert np.array_equal(gamma(ys), alone(ys))
+            assert np.array_equal(gamma(0.3), alone(0.3))
+
+    def test_neck_lanes_match_single_solves(self):
+        lams, f0, z_max = (1.0, 4.0, 2e3), 1.0, 0.5
+        # the grid reaches into |z| < 1e-4, where the apex Taylor branch is used
+        zs = np.concatenate([np.linspace(-z_max, z_max, 101),
+                             np.linspace(-2e-4, 2e-4, 41)])
+        for lam, (f, trajs) in zip(lams, catenoid_necks(lams, f0, z_max)):
+            alone, alone_trajs = catenoid_neck(lam, f0, z_max)
+            for a, b in zip(trajs, alone_trajs):
+                same_trajectory(a, b)
+            assert np.array_equal(f(zs), alone(zs))
+
+    def test_batched_families_reject_empty_and_non_finite_lambdas(self):
+        calls = (lambda lams: solve_bowls(lams, 1.0),
+                 lambda lams: grim_reapers_on_window(lams, 0.0, 0.5),
+                 lambda lams: catenoid_necks(lams, 1.0, 0.5))
+        for call in calls:
+            for lams in ((), (1.0, math.nan), (math.inf,)):
+                with pytest.raises(ValueError):
+                    call(lams)
 
     def test_lanes_keep_their_own_span_and_termination(self):
         lam, c = np.array([1.0, 1.0]), np.array([0.0, 0.0])

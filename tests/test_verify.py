@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nil3trans import families, verify
+from nil3trans import families, ode, verify
 from nil3trans.verify import _polyline_embedded
 
 
@@ -67,11 +67,28 @@ def test_run_suite_solves_each_shared_profile_once(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(families, name, wrapper)
 
-    spy("solve_bowl")
+    spy("solve_bowls")
     spy("solve_helicoids")
     assert verify.run_suite("all")["passed"]
-    bowls = [args[:2] for name, args in calls if name == "solve_bowl"]
+    bowls = [(lam, args[1]) for name, args in calls if name == "solve_bowls"
+             for lam in args[0]]
     helicoids = [p for name, args in calls if name == "solve_helicoids"
                  for p in args[0]]
     assert bowls.count((1.0, 200.0)) == 1
     assert helicoids.count(families.HelicoidParams(1.0, 1.0, 1.0)) == 1
+
+
+def test_run_suite_makes_one_solve_per_right_hand_side_and_site(monkeypatch):
+    # the grim grid, the shared grims, the axis bowls, the shared bowls, the
+    # catenoid neck and arms, the helicoid grid, and the limit windows, bowls
+    # and necks: 25 calls when each lambda had its own
+    calls = []
+    solve_ivp = ode.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "solve_ivp", counted)
+    assert verify.run_suite("all")["passed"]
+    assert len(calls) <= 10, calls
