@@ -209,41 +209,24 @@ def _shape_columns(lam: float, shape, graph_jet: GraphJet | None = None) -> dict
     return cols
 
 
-def _lam_grid(lams) -> tuple:
-    """The lambdas of a batched solve as floats: at least one, each positive
-    and finite."""
-    lams = tuple(float(v) for v in lams)
-    if not lams:
-        raise ValueError("no lambdas to solve for")
-    if not all(0.0 < lam < math.inf for lam in lams):
-        raise ValueError("lambda must be positive and finite")
-    return lams
-
-
-def grim_reaper_on_window(lam: float, c: float, y_max: float,
-                          rtol: float = ode.DEFAULT_RTOL,
-                          atol: float = ode.DEFAULT_ATOL):
+def grim_reaper_on_window(lam: float, c: float, y_max: float):
     """Dense gamma and gamma' on [-y_max, y_max] (window must sit in the slab).
 
     Returns a callable y -> (gamma, gamma'); used by the large-lambda limits.
     """
-    return grim_reapers_on_window([lam], c, y_max, rtol=rtol, atol=atol)[0]
+    return grim_reapers_on_window([lam], c, y_max)[0]
 
 
-def grim_reapers_on_window(lams, c: float, y_max: float,
-                           rtol: float = ode.DEFAULT_RTOL,
-                           atol: float = ode.DEFAULT_ATOL) -> list:
+def grim_reapers_on_window(lams, c: float, y_max: float) -> list:
     """``grim_reaper_on_window`` for each of ``lams``; both halves of every
     window are integrated as the lanes of one ``ode.solve_ivp`` call."""
-    lams = _lam_grid(lams)
     for lam in lams:
         sl = slab(lam, c)
         if not (sl.a_endpoint < -y_max and y_max < sl.b_endpoint):
             raise ValueError("window exceeds the slab of definition")
     n = 2 * len(lams)
     trajs = ode.solve_ivp(_grim_lanes, (np.zeros(n), np.tile([y_max, -y_max], len(lams))),
-                          np.zeros((n, 2)), args=(np.repeat(lams, 2), np.full(n, c)),
-                          rtol=rtol, atol=atol).trajectories
+                          np.zeros((n, 2)), args=(np.repeat(lams, 2), np.full(n, c))).trajectories
     return [_window_gamma(trajs[2 * i], trajs[2 * i + 1]) for i in range(len(lams))]
 
 
@@ -304,20 +287,15 @@ def solve_bowl(lam: float, r_max: float, n_samples: int = 1500,
     return _bowl_profile(lam, r_max, n_samples, traj)
 
 
-def solve_bowls(lams, r_max: float, n_samples: int = 1500,
-                rtol: float = ode.DEFAULT_RTOL,
-                atol: float = ode.DEFAULT_ATOL) -> list:
+def solve_bowls(lams, r_max: float, n_samples: int = 1500) -> list:
     """``solve_bowl`` for each of ``lams``; the bowls are integrated as the
     lanes of one ``ode.solve_ivp`` call."""
-    lams = _lam_grid(lams)
     starts = [ode.series_start("bowl-origin", lam) for lam in lams]
-    delta = starts[0][0]
-    if not r_max > delta:
-        raise ValueError(f"r_max must exceed the series start r = {delta:g}")
-    n = len(lams)
-    trajs = ode.solve_ivp(_rotational_lanes, (np.full(n, delta), np.full(n, r_max)),
-                          [y0 for _, y0 in starts], args=(np.array(lams),),
-                          rtol=rtol, atol=atol).trajectories
+    deltas = [delta for delta, _ in starts]
+    if not all(r_max > delta for delta in deltas):
+        raise ValueError(f"r_max must exceed the series start r = {max(deltas):g}")
+    trajs = ode.solve_ivp(_rotational_lanes, (deltas, [r_max] * len(deltas)),
+                          [y0 for _, y0 in starts], args=(np.array(lams),)).trajectories
     return [_bowl_profile(lam, r_max, n_samples, traj) for lam, traj in zip(lams, trajs)]
 
 
@@ -363,15 +341,15 @@ def catenoid_necks(lams, f0: float, z_max: float,
     ``ode.solve_ivp`` call."""
     if f0 <= 0:
         raise ValueError("f0 must be positive")
-    lams = _lam_grid(lams)
     starts = [ode.series_start("catenoid-apex", lam, f0=f0) for lam in lams]
-    delta = starts[0][0]
+    deltas = [delta for delta, _ in starts]
     y0 = [y for _, (f, fp) in starts for y in ((f, fp), (f, -fp))]
-    trajs = ode.solve_ivp(_neck_lanes, (np.tile([delta, -delta], len(lams)),
-                                        np.tile([z_max, -z_max], len(lams))),
+    trajs = ode.solve_ivp(_neck_lanes, ([t for delta in deltas for t in (delta, -delta)],
+                                        np.tile([z_max, -z_max], len(deltas))),
                           y0, args=(np.repeat(lams, 2),), rtol=rtol, atol=atol).trajectories
     return [(_neck_f(lam, f0, delta, trajs[2 * i], trajs[2 * i + 1]),
-             (trajs[2 * i], trajs[2 * i + 1])) for i, lam in enumerate(lams)]
+             (trajs[2 * i], trajs[2 * i + 1]))
+            for i, (lam, delta) in enumerate(zip(lams, deltas))]
 
 
 def _neck_f(lam, f0, delta, up, down):

@@ -474,10 +474,10 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol: float = DEFAULT_RTOL,
     """
     t = np.array(t_span[0], dtype=float).reshape(-1)
     t_bound = np.array(t_span[1], dtype=float).reshape(-1)
+    if len(t) == 0:
+        raise ValueError("no lanes to integrate")
     y = np.array(y0, dtype=float).reshape(len(t), -1).T.copy()
     n, n_lanes = y.shape
-    if n_lanes == 0:
-        raise ValueError("no lanes to integrate")
     _check_data(t, t_bound, y, rtol, atol)
     args = tuple(np.asarray(a) for a in args)
     rtol = max(rtol / RTOL_SAFETY, RTOL_FLOOR)

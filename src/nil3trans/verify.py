@@ -89,7 +89,8 @@ class _SharedProfiles:
 
     @cached_property
     def bowls_200(self):
-        """Bowls to r = 200, one per entry of _BOWL_TAIL_LAMS."""
+        """Bowls to r = 200, one per entry of _BOWL_TAIL_LAMS.  A core-only
+        run reads just the lam = 1 bowl; the tail bowls ride in its call."""
         return fam.solve_bowls(_BOWL_TAIL_LAMS, 200.0)
 
     @property
