@@ -245,7 +245,9 @@ class TestLanes:
                  lambda lams: grim_reapers_on_window(lams, 0.0, 0.5),
                  lambda lams: catenoid_necks(lams, 1.0, 0.5))
         for call in calls:
-            for lams in ((), (1.0, math.nan), (math.inf,)):
+            with pytest.raises(ValueError, match="no lanes"):
+                call(())
+            for lams in ((1.0, math.nan), (math.inf,)):
                 with pytest.raises(ValueError):
                     call(lams)
 
