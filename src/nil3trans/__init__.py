@@ -65,7 +65,6 @@ from .families import (
     Mesh,
     ProfileCurve,
     SlabData,
-    catenoid_neck,
     grim_reaper_closed_form,
     grim_reaper_rhs,
     helicoid_curvature,

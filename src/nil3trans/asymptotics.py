@@ -28,7 +28,7 @@ from .families import (
     grim_reapers_on_window,
     solve_bowls,
 )
-from .surface import GraphJet, graph_shape
+from .surface import GraphJet, graph_shape, is_characteristic
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,7 @@ class AsymptoticFit:
     details: dict = field(default_factory=dict)
 
 
-def _arm_samples(arm: ProfileCurve, n: int = 400):
+def _arm_samples(arm: ProfileCurve):
     """Tail samples (r, phi, psi) from a bowl or catenoid profile."""
     if arm.family == "bowl":
         traj = arm.trajectories[0]
@@ -103,13 +103,12 @@ def _arm_samples(arm: ProfileCurve, n: int = 400):
     if r_max < 100.0:
         raise ValueError("insufficient tail: arm must extend to r >= 100")
     r_lo = max(20.0, 0.5 * r_max)
-    r = np.linspace(r_lo, r_max, n)
+    r = np.linspace(r_lo, r_max, 400)
     states = traj(r)
     return r, states[:, 0], states[:, 1]
 
 
-def fit_rotational_asymptotics(lam: float, arm: ProfileCurve,
-                               n_samples: int = 400) -> AsymptoticFit:
+def fit_rotational_asymptotics(lam: float, arm: ProfileCurve) -> AsymptoticFit:
     """Fit the tail correction of a rotational arm in the regime of lambda.
 
     ``arm`` is a bowl or catenoid ProfileCurve.
@@ -121,7 +120,7 @@ def fit_rotational_asymptotics(lam: float, arm: ProfileCurve,
     e0 = 1 - 4/lam, and RuntimeError is raised when the best e lies on an
     end of that bracket.
     """
-    r, phi, psi = _arm_samples(arm, n_samples)
+    r, phi, psi = _arm_samples(arm)
     s = math.sqrt(lam)
     rho = phi - r * r / (2.0 * s)
     q = psi - r / s
@@ -267,6 +266,13 @@ class LimitReport:
         return all(b < a for a, b in zip(self.errors, self.errors[1:]))
 
 
+# half-width of the grim reapers' window, the bowls' radius and the necks'
+# half-height on which the limits are measured, and the samples of a window
+GRIM_LIMIT_WINDOW = 1.0
+ROTATIONAL_LIMIT_WINDOW = 2.0
+LIMIT_SAMPLES = 401
+
+
 def _check_grid(lams):
     lams = tuple(float(v) for v in lams)
     if any(b <= a for a, b in zip(lams, lams[1:])):
@@ -274,17 +280,16 @@ def _check_grid(lams):
     return lams
 
 
-def limit_grim_reaper(c: float, lams, k_window: float = 1.0,
-                      n_samples: int = 401) -> LimitReport:
+def limit_grim_reaper(c: float, lams) -> LimitReport:
     """Collapse of the tilted grim reapers onto the minimal graph z = xy/2 + cx.
 
-    Per lambda: sup over [-k_window, k_window] of |gamma| and |gamma'|, and
+    Per lambda: sup over |y| <= GRIM_LIMIT_WINDOW of |gamma| and |gamma'|, and
     the ratio of sup|gamma| to the predicted scale log(sqrt(lam))/sqrt(lam).
     """
     lams = _check_grid(lams)
-    ys = np.linspace(-k_window, k_window, n_samples)
+    ys = np.linspace(-GRIM_LIMIT_WINDOW, GRIM_LIMIT_WINDOW, LIMIT_SAMPLES)
     sups, sups_p, ratios = [], [], []
-    for lam, gamma in zip(lams, grim_reapers_on_window(lams, c, k_window)):
+    for lam, gamma in zip(lams, grim_reapers_on_window(lams, c, GRIM_LIMIT_WINDOW)):
         vals = gamma(ys)
         sups.append(float(np.max(np.abs(vals[:, 0]))))
         sups_p.append(float(np.max(np.abs(vals[:, 1]))))
@@ -303,11 +308,12 @@ def limit_grim_reaper(c: float, lams, k_window: float = 1.0,
     )
 
 
-def limit_bowl(lams, k_window: float = 2.0) -> LimitReport:
-    """Collapse of the bowl onto the horizontal plane z = 0 on r <= k_window."""
+def limit_bowl(lams) -> LimitReport:
+    """Collapse of the bowl onto the horizontal plane z = 0 on
+    r <= ROTATIONAL_LIMIT_WINDOW."""
     lams = _check_grid(lams)
     sups, psi_sups, c_fits = [], [], []
-    for lam, prof in zip(lams, solve_bowls(lams, k_window, n_samples=400)):
+    for lam, prof in zip(lams, solve_bowls(lams, ROTATIONAL_LIMIT_WINDOW, n_samples=400)):
         sups.append(float(np.max(np.abs(prof.data["phi"]))))
         psi_sup = float(np.max(np.abs(prof.data["psi"])))
         psi_sups.append(psi_sup)
@@ -319,23 +325,24 @@ def limit_bowl(lams, k_window: float = 2.0) -> LimitReport:
     )
 
 
-def limit_catenoid(f0: float, lams, k_window: float = 2.0,
-                   n_samples: int = 401) -> LimitReport:
-    """Collapse of the neck profiles onto f~(z) = sqrt(4z^2 + f0^4)/f0."""
-    if f0 <= 0:
-        raise ValueError("f0 must be positive")
+def limit_catenoid(f0: float, lams) -> LimitReport:
+    """Collapse of the neck profiles onto f~(z) = sqrt(4z^2 + f0^4)/f0 on
+    |z| <= ROTATIONAL_LIMIT_WINDOW."""
     lams = _check_grid(lams)
-    zs = np.linspace(-k_window, k_window, n_samples)
-    target = np.sqrt(4.0 * zs * zs + f0**4) / f0
+    k = ROTATIONAL_LIMIT_WINDOW
+    # the necks check f0, so the target is formed from a valid f0 only
+    necks = catenoid_necks(lams, f0, k)
+    zs = np.linspace(-k, k, LIMIT_SAMPLES)
+    target = catenoid_limit_profile(f0, zs)[0]
     sups = []
-    for lam, (f, (up, down)) in zip(lams, catenoid_necks(lams, f0, k_window)):
+    for lam, (f, (up, down)) in zip(lams, necks):
         if up.termination != "span_end" or down.termination != "span_end":
             # the lower branch turns vertical before the window edge: the
             # neck is a graph over z only for lambda large enough
             raise ValueError(
-                f"neck profile does not cover [-{k_window}, {k_window}] at "
+                f"neck profile does not cover [-{k}, {k}] at "
                 f"lambda={lam} (graph turns at z={down.t_end:.4f}); "
-                "increase lambda or shrink the window")
+                "increase lambda")
         sups.append(float(np.max(np.abs(f(zs)[:, 0] - target))))
     rate = _loglog_rate(lams, sups)
     quad_ratio = 4.0 ** (-rate) if rate is not None else None
@@ -374,29 +381,29 @@ class HorizontalLimit:
     samples: dict = field(default_factory=dict)
 
 
-def horizontal_mean_curvature(jet: GraphJet,
-                              lam_grid=(1e2, 1e3, 1e4),
-                              tol: float = 1e-12) -> HorizontalLimit:
+# the three lambdas of the horizontal mean curvature's extrapolation
+HORIZONTAL_LAM_GRID = (1e2, 1e3, 1e4)
+
+
+def horizontal_mean_curvature(jet: GraphJet) -> HorizontalLimit:
     """Richardson-extrapolated limit of H(lambda) at a graph point.
 
-    At characteristic points (alpha = beta = 0) the limit is undefined and
-    the point is flagged.  The extrapolation solves the two-correction model
-    H(lambda) = H_inf + p/lambda + q/lambda^2 on the three-point grid; the
-    closed form (u_xx*beta^2 + u_yy*alpha^2 - 2*u_xy*alpha*beta) /
-    (alpha^2+beta^2)^(3/2) is evaluated alongside for comparison.
+    At characteristic points (``surface.is_characteristic``) the limit is
+    undefined and the point is flagged.  The extrapolation solves the
+    two-correction model H(lambda) = H_inf + p/lambda + q/lambda^2 on
+    HORIZONTAL_LAM_GRID; the closed form (u_xx*beta^2 + u_yy*alpha^2 -
+    2*u_xy*alpha*beta) / (alpha^2+beta^2)^(3/2) is evaluated alongside for
+    comparison.
     """
-    a, b = jet.alpha, jet.beta
-    if a * a + b * b <= tol:
+    if is_characteristic(jet):
         return HorizontalLimit(True, None, None, None)
-    lams = tuple(float(v) for v in lam_grid)
-    if len(lams) != 3:
-        raise ValueError("the extrapolation model needs exactly three lambdas")
-    hs = [graph_shape(lam, jet).H for lam in lams]
-    vander = np.array([[1.0, 1.0 / lam, 1.0 / lam**2] for lam in lams])
+    a, b = jet.alpha, jet.beta
+    hs = [graph_shape(lam, jet).H for lam in HORIZONTAL_LAM_GRID]
+    vander = np.array([[1.0, 1.0 / lam, 1.0 / lam**2] for lam in HORIZONTAL_LAM_GRID])
     h_inf, p, q = np.linalg.solve(vander, np.array(hs))
     closed = (jet.u_xx * b * b + jet.u_yy * a * a - 2.0 * jet.u_xy * a * b) \
         / (a * a + b * b) ** 1.5
     return HorizontalLimit(
         False, float(h_inf), float(closed), abs(float(h_inf) - closed),
-        {"lam_grid": lams, "H_values": tuple(float(h) for h in hs)},
+        {"lam_grid": HORIZONTAL_LAM_GRID, "H_values": tuple(float(h) for h in hs)},
     )

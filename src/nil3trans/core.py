@@ -269,7 +269,7 @@ class Isometry:
         return Isometry.composite([part.inverse() for part in reversed(self.parts)])
 
 
-def covariant_derivative_fd(lam, field, v: FrameVector, h: float = 1e-4) -> FrameVector:
+def covariant_derivative_fd(lam, field, v: FrameVector) -> FrameVector:
     """Covariant derivative nabla_v F of a vector field by central differences.
 
     ``field`` maps Point -> FrameVector.  The coefficient derivative is taken
@@ -277,6 +277,7 @@ def covariant_derivative_fd(lam, field, v: FrameVector, h: float = 1e-4) -> Fram
     truncation against round-off for 1e-6 test tolerances.
     """
     lam = _lam_value(lam)
+    h = 1e-4
     p = v.base
     vx, vy, vz = v.coordinate_velocity()
     pp = Point(p.x + h * vx, p.y + h * vy, p.z + h * vz)

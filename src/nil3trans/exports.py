@@ -19,25 +19,6 @@ SCHEMA_VERSION = "1"
 # 17 significant digits: re-parsing reproduces every double exactly
 FLOAT_FORMAT = "%.17g"
 
-# leading parameter column name per family
-_PARAM_COLUMN = {
-    "grim": "y",
-    "bowl": "r",
-    "catenoid": "s",
-    "helicoid": "s",
-    "planar-grim": "x",
-}
-
-# fixed column orders (the parameter column comes first)
-_COLUMNS = {
-    "grim": ("gamma", "gamma_prime", "H", "residual", "K_gauss", "K_intrinsic"),
-    "bowl": ("phi", "psi", "H", "residual", "K_gauss", "K_intrinsic"),
-    "catenoid": ("r", "z", "H", "residual", "K_gauss"),
-    "helicoid": ("gamma1", "gamma2", "theta_t", "tau", "nu", "r2", "k",
-                 "H", "residual", "K_gauss"),
-    "planar-grim": ("y", "px", "py", "curvature", "residual"),
-}
-
 
 def _table_text(row: str, table) -> str:
     """One ``row`` template per table row, filled by a single ``%``."""
@@ -45,11 +26,10 @@ def _table_text(row: str, table) -> str:
 
 
 def csv_text(profile: ProfileCurve) -> str:
-    cols = _COLUMNS[profile.family]
-    header = ",".join((_PARAM_COLUMN[profile.family],) + cols)
-    row = ",".join([FLOAT_FORMAT] * (len(cols) + 1))
-    table = np.column_stack([profile.t] + [profile.data[c] for c in cols])
-    return header + "\n" + _table_text(row + "\n", table)
+    """The profile's ``data`` table as it stands, one column per key."""
+    row = ",".join([FLOAT_FORMAT] * len(profile.data))
+    table = np.column_stack(list(profile.data.values()))
+    return ",".join(profile.data) + "\n" + _table_text(row + "\n", table)
 
 
 def obj_text(mesh: Mesh) -> str:

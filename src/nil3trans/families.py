@@ -13,6 +13,10 @@ Four families share the machinery here:
 Plus the planar Euclidean grim reaper, the vertical-cylinder translator for
 horizontal translation directions.
 
+Each family is described once, here: its constructor builds the profile's
+``data`` table, which the CSV export prints as it stands, and ``_SWEEPS``
+gives the group that sweeps the profile into a surface.
+
 Every constructed ``ProfileCurve`` carries per-sample mean curvature,
 translator residual and curvatures recomputed through the surface kernel,
 so the ODE solutions are cross-checked against the geometry.  The jet
@@ -47,14 +51,22 @@ from .surface import (
 
 @dataclass
 class ProfileCurve:
-    """A sampled generating curve with per-sample derived quantities."""
+    """A sampled generating curve with per-sample derived quantities.
+
+    ``data`` is the profile's table, in the column order of its CSV export;
+    its first column is the curve parameter.
+    """
 
     family: str
     params: dict
-    t: np.ndarray
     data: dict
     trajectories: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def t(self) -> np.ndarray:
+        """The curve parameter: the first column of ``data``."""
+        return next(iter(self.data.values()))
 
     @property
     def residual_sup(self) -> float:
@@ -84,8 +96,9 @@ class GrimReaperParams:
     def __post_init__(self):
         if not 0.0 < self.lam < math.inf:
             raise ValueError("lambda must be positive and finite")
-        if self.c < 0:
-            raise ValueError("slope c must be non-negative (apply y -> -y for c < 0)")
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError("slope c must be non-negative and finite "
+                             "(apply y -> -y for c < 0)")
 
 
 @dataclass(frozen=True)
@@ -174,7 +187,7 @@ def _grim_profile(params, sl, up, down, derived) -> ProfileCurve:
     lam, c = params.lam, params.c
     ys = np.concatenate([down.t[:0:-1], up.t])
     states = np.vstack([down.y[:0:-1], up.y])
-    cols = {"gamma": states[:, 0].copy(), "gamma_prime": states[:, 1].copy()}
+    cols = {"y": ys, "gamma": states[:, 0].copy(), "gamma_prime": states[:, 1].copy()}
     if derived:
         jet = grim_reaper_jet(lam, c, ys, cols["gamma"], cols["gamma_prime"])
         cols.update(_shape_columns(lam, graph_shape(lam, jet), jet))
@@ -184,7 +197,7 @@ def _grim_profile(params, sl, up, down, derived) -> ProfileCurve:
         "b_numeric": float(up.t_end),
         **_counters(down, up),
     }
-    return ProfileCurve("grim", {"lam": lam, "c": c}, ys, cols, [up, down], diag)
+    return ProfileCurve("grim", {"lam": lam, "c": c}, cols, [up, down], diag)
 
 
 def _counters(*trajs) -> dict:
@@ -209,19 +222,16 @@ def _shape_columns(lam: float, shape, graph_jet: GraphJet | None = None) -> dict
     return cols
 
 
-def grim_reaper_on_window(lam: float, c: float, y_max: float):
-    """Dense gamma and gamma' on [-y_max, y_max] (window must sit in the slab).
-
-    Returns a callable y -> (gamma, gamma'); used by the large-lambda limits.
-    """
-    return grim_reapers_on_window([lam], c, y_max)[0]
-
-
 def grim_reapers_on_window(lams, c: float, y_max: float) -> list:
-    """``grim_reaper_on_window`` for each of ``lams``; both halves of every
-    window are integrated as the lanes of one ``ode.solve_ivp`` call."""
+    """Dense gamma and gamma' on [-y_max, y_max] for each of ``lams``, as
+    callables y -> (gamma, gamma'); used by the large-lambda limits.
+
+    The window must sit in every slab.  Both halves of every window are
+    integrated as the lanes of one ``ode.solve_ivp`` call.
+    """
     for lam in lams:
-        sl = slab(lam, c)
+        params = GrimReaperParams(lam, c)
+        sl = slab(params.lam, params.c)
         if not (sl.a_endpoint < -y_max and y_max < sl.b_endpoint):
             raise ValueError("window exceeds the slab of definition")
     n = 2 * len(lams)
@@ -302,10 +312,10 @@ def solve_bowls(lams, r_max: float, n_samples: int = 1500) -> list:
 def _bowl_profile(lam, r_max, n_samples, traj) -> ProfileCurve:
     rs = np.linspace(traj.t[0], r_max, n_samples)
     states = traj(rs)
-    cols = {"phi": states[:, 0], "psi": states[:, 1]}
+    cols = {"r": rs, "phi": states[:, 0], "psi": states[:, 1]}
     jet = radial_graph_jet(lam, rs, cols["phi"], cols["psi"])
     cols.update(_shape_columns(lam, graph_shape(lam, jet), jet))
-    return ProfileCurve("bowl", {"lam": lam, "r_max": r_max}, rs, cols, [traj],
+    return ProfileCurve("bowl", {"lam": lam, "r_max": r_max}, cols, [traj],
                         {"termination": traj.termination, "n_steps": traj.n_steps,
                          "nfev": traj.nfev})
 
@@ -322,13 +332,6 @@ def catenoid_neck_rhs(lam: float, f, f_p):
     )
 
 
-def catenoid_neck(lam: float, f0: float, z_max: float,
-                  rtol: float = ode.DEFAULT_RTOL,
-                  atol: float = ode.DEFAULT_ATOL):
-    """Neck profile f on [-z_max, z_max]; returns callable z -> (f, f')."""
-    return catenoid_necks([lam], f0, z_max, rtol=rtol, atol=atol)[0]
-
-
 def _neck_lanes(z, state, lam):
     return state[1], catenoid_neck_rhs(lam, state[0], state[1])
 
@@ -336,11 +339,10 @@ def _neck_lanes(z, state, lam):
 def catenoid_necks(lams, f0: float, z_max: float,
                    rtol: float = ode.DEFAULT_RTOL,
                    atol: float = ode.DEFAULT_ATOL) -> list:
-    """``catenoid_neck`` for each of ``lams``, as (f, (up, down)) pairs; the
-    halves above and below every apex are integrated as the lanes of one
-    ``ode.solve_ivp`` call."""
-    if f0 <= 0:
-        raise ValueError("f0 must be positive")
+    """Neck profile on [-z_max, z_max] for each of ``lams``, as pairs of a
+    callable z -> (f, f') and the (up, down) trajectories; the halves above
+    and below every apex are integrated as the lanes of one ``ode.solve_ivp``
+    call."""
     starts = [ode.series_start("catenoid-apex", lam, f0=f0) for lam in lams]
     deltas = [delta for delta, _ in starts]
     y0 = [y for _, (f, fp) in starts for y in ((f, fp), (f, -fp))]
@@ -405,7 +407,7 @@ def choose_gluing_offset(lam: float, f0: float,
     validated on a fine grid of the neck solution, integrated at the given
     tolerances.
     """
-    f, _ = catenoid_neck(lam, f0, 2.0 * GLUING_EPS_CAP, rtol=rtol, atol=atol)
+    f, _ = catenoid_necks([lam], f0, 2.0 * GLUING_EPS_CAP, rtol=rtol, atol=atol)[0]
     zs = np.linspace(1e-3, 2.0 * GLUING_EPS_CAP, 400)
     vals = f(zs)
     fpp = catenoid_neck_rhs(lam, vals[:, 0], vals[:, 1])
@@ -427,8 +429,6 @@ def solve_catenoid(lam: float, f0: float, r_max: float = 200.0,
     with matching conditions phi(c0) = +-eps, phi'(c0) = 1/c1 where
     c0 = f(+-eps), c1 = f'(+-eps).
     """
-    if f0 <= 0:
-        raise ValueError("f0 must be positive")
     eps, f = choose_gluing_offset(lam, f0, rtol=rtol, atol=atol)
     c0p, c1p = f(eps)
     c0m, c1m = f(-eps)
@@ -463,7 +463,7 @@ def solve_catenoid(lam: float, f0: float, r_max: float = 200.0,
     zz = along_curve(arms[:, 0], zs)
     seg = np.hypot(np.diff(rr), np.diff(zz))
     s = np.concatenate([[0.0], np.cumsum(seg)])
-    cols = {"r": rr, "z": zz}
+    cols = {"s": s, "r": rr, "z": zz}
     cols.update({k: along_curve(v, neck_cols[k]) for k, v in arm_cols.items()})
     diag = {
         "eps": eps,
@@ -475,7 +475,7 @@ def solve_catenoid(lam: float, f0: float, r_max: float = 200.0,
         **_counters(arm_m, arm_p),
     }
     return ProfileCurve("catenoid", {"lam": lam, "f0": f0, "r_max": r_max},
-                        s, cols, [arm_m, arm_p], diag)
+                        cols, [arm_m, arm_p], diag)
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +496,11 @@ class HelicoidParams:
     def __post_init__(self):
         if not 0.0 < self.lam < math.inf:
             raise ValueError("lambda must be positive and finite")
-        if self.pitch == 0:
-            raise ValueError("pitch must be nonzero (pitch 0 is the rotational case)")
-        if self.r0 < 0:
-            raise ValueError("seed distance r0 must be non-negative")
+        if self.pitch == 0 or not math.isfinite(self.pitch):
+            raise ValueError("pitch must be nonzero and finite "
+                             "(pitch 0 is the rotational case)")
+        if not 0.0 <= self.r0 < math.inf:
+            raise ValueError("seed distance r0 must be non-negative and finite")
 
 
 def helicoid_curvature(lam, c, tau, nu):
@@ -594,7 +595,7 @@ def _helicoid_profile(params, s_span, n_samples, fwd, bwd) -> ProfileCurve:
     ct, st = np.cos(th), np.sin(th)
     tau = g1 * ct + g2 * st
     nu = -g1 * st + g2 * ct
-    cols = {"gamma1": g1, "gamma2": g2, "theta_t": th, "tau": tau, "nu": nu,
+    cols = {"s": ss, "gamma1": g1, "gamma2": g2, "theta_t": th, "tau": tau, "nu": nu,
             "r2": tau * tau + nu * nu, "k": helicoid_curvature(lam, c, tau, nu)}
     jet = helicoid_patch_jet(lam, c, g1, g2, th)
     cols.update(_shape_columns(lam, patch_shape(lam, jet)))
@@ -602,7 +603,7 @@ def _helicoid_profile(params, s_span, n_samples, fwd, bwd) -> ProfileCurve:
     diag = {"winding": winding, **_counters(bwd, fwd)}
     return ProfileCurve(
         "helicoid", {"lam": lam, "pitch": c, "r0": r0, "s_span": s_span},
-        ss, cols, [bwd, fwd], diag)
+        cols, [bwd, fwd], diag)
 
 
 def helicoid_kprime_numerator(lam: float, c: float, tau: float, nu: float) -> float:
@@ -656,48 +657,27 @@ def planar_grim_reaper(direction) -> ProfileCurve:
         "residual": np.asarray(residual),
     }
     return ProfileCurve("planar-grim", {"a1": a1, "a2": a2, "speed": speed},
-                        xs, cols, [], {"width": width})
+                        cols, [], {"width": width})
 
 
 # ---------------------------------------------------------------------------
 # swept surfaces
 
 
-def _profile_points(profile: ProfileCurve):
-    """Generating-curve points in Nil3 coordinates, plus per-sample scalars."""
-    fam = profile.family
-    d = profile.data
-    if fam == "grim":
-        pts = np.column_stack([np.zeros_like(profile.t), profile.t, d["gamma"]])
-    elif fam == "bowl":
-        pts = np.column_stack([profile.t, np.zeros_like(profile.t), d["phi"]])
-    elif fam == "catenoid":
-        pts = np.column_stack([d["r"], np.zeros_like(profile.t), d["z"]])
-    elif fam == "helicoid":
-        pts = np.column_stack([d["gamma1"], d["gamma2"], np.zeros_like(profile.t)])
-    elif fam == "planar-grim":
-        pts = np.column_stack([d["px"], d["py"], np.zeros_like(profile.t)])
-    else:
-        raise ValueError(f"unknown profile family {fam!r}")
-    scalars = {}
-    for key in ("H", "residual", "K_gauss", "K_intrinsic", "curvature"):
-        if key in d:
-            scalars[key] = d[key]
-    return pts, scalars
-
-
-_FAMILY_GROUP = {
-    "grim": "translation",
-    "bowl": "rotation",
-    "catenoid": "rotation",
-    "helicoid": "helicoidal",
-    "planar-grim": "vertical",
+# family -> (sweep group, the data columns giving the Nil3 coordinates x, y, z
+# of the profile points, None for 0, and the params key of the slope c of the
+# translation or helicoidal group, None for 0)
+_SWEEPS = {
+    "grim": ("translation", (None, "y", "gamma"), "c"),
+    "bowl": ("rotation", ("r", None, "phi"), None),
+    "catenoid": ("rotation", ("r", None, "z"), None),
+    "helicoid": ("helicoidal", ("gamma1", "gamma2", None), "pitch"),
+    "planar-grim": ("vertical", ("px", "py", None), None),
 }
 
 
-def _adaptive_indices(profile: ProfileCurve, n: int):
+def _adaptive_indices(pts, scalars, n: int):
     """Profile subsampling uniform in arc length + curvature weight."""
-    pts, scalars = _profile_points(profile)
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     weight = seg.copy()
     curv = None
@@ -722,9 +702,12 @@ def sweep_surface(profile: ProfileCurve, n_profile: int = 100, n_sweep: int = 60
     Vertex ``j * n_profile + i`` is profile point ``i`` moved by the group
     element of parameter ``us[j]``; faces run over rings, then the profile.
     """
-    group = _FAMILY_GROUP[profile.family]
-    pts, scalars = _profile_points(profile)
-    idx = _adaptive_indices(profile, n_profile)
+    group, columns, slope = _SWEEPS[profile.family]
+    d = profile.data
+    pts = np.column_stack([d[k] if k else np.zeros_like(profile.t) for k in columns])
+    scalars = {k: d[k] for k in ("H", "residual", "K_gauss", "K_intrinsic", "curvature")
+               if k in d}
+    idx = _adaptive_indices(pts, scalars, n_profile)
     pts = pts[idx]
     scalars = {k: v[idx] for k, v in scalars.items()}
     n_profile = len(pts)
@@ -741,7 +724,7 @@ def sweep_surface(profile: ProfileCurve, n_profile: int = 100, n_sweep: int = 60
             raise ValueError(f"sweep range ({lo:g}, {hi:g}) must have lo < hi")
         us = np.linspace(lo, hi, n_sweep)
 
-    c = profile.params.get("c", profile.params.get("pitch", 0.0))
+    c = profile.params[slope] if slope else 0.0
     u = us[:, None]
     x, y, z = pts.T
     verts = np.empty((n_sweep, n_profile, 3))

@@ -652,8 +652,8 @@ def series_start(kind: str, lam: float, f0: float | None = None,
         s = math.sqrt(lam)
         return delta, (delta * delta / (4.0 * s), delta / (2.0 * s))
     if kind == "catenoid-apex":
-        if f0 is None or f0 <= 0:
-            raise ValueError("catenoid apex radius f0 must be positive")
+        if f0 is None or not 0.0 < f0 < math.inf:
+            raise ValueError("catenoid apex radius f0 must be positive and finite")
         fpp0 = 4.0 * lam / (f0 * (4.0 + lam * f0 * f0))
         return delta, (f0 + 0.5 * fpp0 * delta * delta, fpp0 * delta)
     raise ValueError(f"unknown series start kind {kind!r}")

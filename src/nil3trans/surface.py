@@ -30,6 +30,7 @@ from .core import (
     FrameVector,
     KillingField,
     Point,
+    _dot,
     connection_bilinear,
     killing_eval,
     metric,
@@ -133,18 +134,18 @@ def patch_covariant(lam: float, jet: PatchJet, i: int, j: int) -> FrameVector:
 def patch_shape(lam: float, jet: PatchJet) -> ShapeData:
     """Shape data of a general patch; normal oriented along G^{-1}(V1 x V2)."""
     v1, v2 = jet.v1, jet.v2
-    g11 = _frame_dot(lam, v1, v1)
-    g12 = _frame_dot(lam, v1, v2)
-    g22 = _frame_dot(lam, v2, v2)
+    g11 = _dot(lam, v1, v1)
+    g12 = _dot(lam, v1, v2)
+    g22 = _dot(lam, v2, v2)
     det_g = g11 * g22 - g12 * g12
     if np.any(det_g <= 1e-12 * np.maximum(1.0, g11 * g22)):
         raise ValueError("tangent basis is (numerically) degenerate")
     w = _cross(v1, v2)
     n = (w[0], w[1], w[2] / lam)
-    n_norm = np.sqrt(_frame_dot(lam, n, n))
+    n_norm = np.sqrt(_dot(lam, n, n))
     n = tuple(c / n_norm for c in n)
     normal = FrameVector(jet.point, *n)
-    h = [[_frame_dot(lam, patch_covariant(lam, jet, i, j).coeffs(), n) for j in (1, 2)]
+    h = [[_dot(lam, patch_covariant(lam, jet, i, j).coeffs(), n) for j in (1, 2)]
          for i in (1, 2)]
     h12 = 0.5 * (h[0][1] + h[1][0])  # symmetrize round-off
     A = ((h[0][0], h12), (h12, h[1][1]))
@@ -155,10 +156,6 @@ def patch_shape(lam: float, jet: PatchJet) -> ShapeData:
         H=H,
         normal=normal,
     )
-
-
-def _frame_dot(lam, u, w):
-    return u[0] * w[0] + u[1] * w[1] + lam * u[2] * w[2]
 
 
 def _cross(u, w):
@@ -196,23 +193,18 @@ def intrinsic_curvature(lam: float, jet: GraphJet, shape: ShapeData) -> float:
     return ambient_tangent_curvature(lam, jet) + gaussian_curvature(shape)
 
 
-def is_characteristic(jet: GraphJet, tol: float = 0.0) -> bool:
-    """True when the tangent plane coincides with the horizontal distribution."""
-    return (np.abs(jet.alpha) <= tol) & (np.abs(jet.beta) <= tol)
+def is_characteristic(jet: GraphJet) -> bool:
+    """True when the tangent plane coincides with the horizontal distribution,
+    to round-off: alpha^2 + beta^2 <= 1e-12."""
+    a, b = jet.alpha, jet.beta
+    return a * a + b * b <= 1e-12
 
 
-def translator_residual(
-    lam: float,
-    shape: ShapeData,
-    killing: KillingField,
-    p: Point | None = None,
-) -> float:
-    """Soliton defect H - g_lam(normal, V) at the evaluation point.
+def translator_residual(lam: float, shape: ShapeData, killing: KillingField) -> float:
+    """Soliton defect H - g_lam(normal, V) at the base point of the normal.
 
     Vanishes exactly on a translator moving along the Killing field V; for
     vertical translators V = lam^{-1/2} Z.
     """
-    if p is None:
-        p = shape.normal.base
-    v = killing_eval(killing, p)
+    v = killing_eval(killing, shape.normal.base)
     return shape.H - metric(lam, shape.normal, v)

@@ -1,4 +1,5 @@
-"""Acceptance gate: ten end-to-end criteria, one pass/fail line each.
+"""Acceptance gate: ten end-to-end criteria, one pass/fail line each, and
+a check that every record is resolved by the solver.
 
 Each paper check is implemented once, in ``nil3trans.verify``; criteria 1-9
 read the named check records that verify returns and hold each ``computed``
@@ -11,7 +12,7 @@ import time
 
 import pytest
 
-from nil3trans import exports, verify
+from nil3trans import exports, ode, verify
 
 TAIL_TOL = {1: 0.03, 2: 0.03, 4: 0.05, 9: 0.03, 16: 0.03}
 
@@ -177,3 +178,30 @@ def test_criterion_10_determinism_and_runtime(suite):
            f"two consecutive full verification runs byte-identical: "
            f"{identical}; all checks passing: {passed_flag}; both runs in "
            f"{elapsed:.0f} s (< 180 s)")
+
+
+def test_records_are_resolved_by_the_solver(suite, monkeypatch):
+    """Every record is a property of the paper's objects, not of the solver:
+    a run 16x tighter (RTOL_SAFETY 4 -> 64, floored at RTOL_FLOOR) flips no
+    verdict and moves each abs/rel record by < 1e-5 of its tolerance and each
+    le record by < 1e-6 of its distance to the bound.  The exception is
+    grim-closed-form-sup-error, which measures the solver error itself.
+
+    The grim grid asks for rtol 1e-13, so its controller already runs at
+    1e-13 / 4 = 2.5e-14, next to RTOL_FLOOR = 2.2e-14: this tightens that
+    grid by only about 1.1x, and does not show it resolved.
+    """
+    base = suite[0]["checks"]
+    monkeypatch.setattr(ode, "RTOL_SAFETY", 64.0)
+    tight = verify.run_suite("all")["checks"]
+    assert [chk["name"] for chk in tight] == [chk["name"] for chk in base]
+    for b, t in zip(base, tight):
+        assert t["passed"] == b["passed"], b["name"]
+        move = abs(t["computed"] - b["computed"])
+        if b["kind"] == "abs" and b["name"] != "grim-closed-form-sup-error":
+            assert move <= 1e-5 * b["tolerance"], (b["name"], move)
+        elif b["kind"] == "rel":
+            assert move <= 1e-5 * b["tolerance"] * abs(b["expected"]), (b["name"], move)
+        elif b["kind"] == "le":
+            room = b["expected"] + b["tolerance"] - b["computed"]
+            assert move <= 1e-6 * room, (b["name"], move, room)

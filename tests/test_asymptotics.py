@@ -163,7 +163,7 @@ class _TailTrajectory:
 
 
 def synthetic_arm(lam, q):
-    return ProfileCurve("bowl", {"lam": lam}, np.empty(0), {}, [_TailTrajectory(lam, q)])
+    return ProfileCurve("bowl", {"lam": lam}, {"r": np.empty(0)}, [_TailTrajectory(lam, q)])
 
 
 class TestVariableProjectionFit:
@@ -292,8 +292,3 @@ class TestHorizontalMeanCurvature:
                 continue
             out = horizontal_mean_curvature(jet)
             assert out.value == pytest.approx(out.closed_form, abs=1e-4)
-
-    def test_grid_validation(self):
-        jet = GraphJet(1.0, 1.0, 0.5, 0.5, 0.5, 0.0, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            horizontal_mean_curvature(jet, lam_grid=(10.0, 100.0))

@@ -43,7 +43,7 @@ class TestExports:
         ref = lambda xs: [format(float(x), ".17g") for x in xs]
         cols = ("y", "px", "py", "curvature", "residual")
         data = {c: np.roll(values, k + 1) for k, c in enumerate(cols)}
-        prof = ProfileCurve("planar-grim", {}, values, data)
+        prof = ProfileCurve("planar-grim", {}, {"x": values, **data})
         rows = zip(ref(values), *(ref(data[c]) for c in cols))
         assert exports.csv_text(prof) == "x," + ",".join(cols) + "\n" + "".join(
             ",".join(row) + "\n" for row in rows)
@@ -64,11 +64,23 @@ class TestExports:
         assert math.copysign(1.0, float(ref(values)[0])) == -1.0
 
     def test_empty_profile_header_only(self):
-        prof = ProfileCurve("planar-grim", {}, np.empty(0),
+        prof = ProfileCurve("planar-grim", {},
                             {k: np.empty(0) for k in
-                             ("y", "px", "py", "curvature", "residual")})
+                             ("x", "y", "px", "py", "curvature", "residual")})
         text = exports.csv_text(prof)
         assert text == "x,y,px,py,curvature,residual\n"
+
+    @pytest.mark.parametrize("argv, header", [
+        (["grim"], "y,gamma,gamma_prime,H,residual,K_gauss,K_intrinsic"),
+        (["bowl", "--span", "5"], "r,phi,psi,H,residual,K_gauss,K_intrinsic"),
+        (["catenoid", "--span", "20"], "s,r,z,H,residual,K_gauss"),
+        (["helicoid", "--span", "5"],
+         "s,gamma1,gamma2,theta_t,tau,nu,r2,k,H,residual,K_gauss"),
+        (["planar-grim"], "x,y,px,py,curvature,residual"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_full_csv_header_of_every_family(self, capsys, argv, header):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.split("\n", 1)[0] == header
 
     def test_obj_structure(self):
         prof = planar_grim_reaper((0.0, 1.0))
@@ -182,6 +194,9 @@ class TestCli:
         ["grim", "--span", "0", "--format", "obj"],  # once wrote 60 copies of one ring
         ["grim", "--span", "-1", "--format", "obj"],  # once reversed the faces
         ["planar-grim", "--span", "0", "--format", "obj"],
+        ["limits", "--c", "-1"],  # once exited 0 with a report
+        ["helicoid", "--pitch", "inf"],  # once warned from helicoid_curvature first
+        ["limits", "--f0", "inf"],  # once warned from the catenoid limit's target
     ], ids=" ".join)
     def test_out_of_domain_exit_code(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:

@@ -8,8 +8,8 @@ from nil3trans.core import Point, group_mul
 from nil3trans.families import (
     GrimReaperParams,
     HelicoidParams,
-    catenoid_neck,
     catenoid_neck_rhs,
+    catenoid_necks,
     choose_gluing_offset,
     grim_reaper_closed_form,
     grim_reaper_rhs,
@@ -45,6 +45,12 @@ class TestGrimReaper:
                 GrimReaperParams(lam, 0.0)
             with pytest.raises(ValueError, match="finite"):
                 HelicoidParams(lam, 1.0)
+            with pytest.raises(ValueError, match="finite"):
+                GrimReaperParams(1.0, lam)
+            with pytest.raises(ValueError, match="finite"):
+                HelicoidParams(1.0, lam)
+            with pytest.raises(ValueError, match="finite"):
+                HelicoidParams(1.0, 1.0, lam)
 
     def test_slab_symmetric_when_untilted(self):
         for lam in (0.5, 1.0, 4.0):
@@ -91,7 +97,7 @@ class TestGrimReaper:
 
     def test_derived_flag(self):
         prof = solve_grim_reaper(GrimReaperParams(1.0, 0.0), derived=False)
-        assert set(prof.data) == {"gamma", "gamma_prime"}
+        assert list(prof.data) == ["y", "gamma", "gamma_prime"]
 
     def test_minimum_at_center(self):
         prof = solve_grim_reaper(GrimReaperParams(1.0, 0.0), derived=False)
@@ -142,14 +148,14 @@ class TestCatenoid:
     def test_neck_symmetric_in_value(self):
         # the neck ODE is not symmetric in z, but at the apex the profile is
         # even to second order; check small-z behavior of the closure
-        f, _ = catenoid_neck(1.0, 1.0, 0.5)
+        f, _ = catenoid_necks([1.0], 1.0, 0.5)[0]
         val_p = f(1e-5)
         val_m = f(-1e-5)
         assert val_p[0] == pytest.approx(val_m[0], abs=1e-12)
         assert val_p[1] == pytest.approx(-val_m[1], abs=1e-9)
 
     def test_neck_continuity_at_taylor_seam(self):
-        f, _ = catenoid_neck(1.0, 1.0, 0.5)
+        f, _ = catenoid_necks([1.0], 1.0, 0.5)[0]
         delta = 1e-4
         # the ODE branches are seeded with second-order starts, so the seam
         # mismatch in f' is the third-order term ~ |f'''(0)| delta^2 / 2
@@ -187,17 +193,18 @@ class TestCatenoid:
 
         def spy(*args, **kwargs):
             seen.append((kwargs.get("rtol"), kwargs.get("atol")))
-            return catenoid_neck(*args, **kwargs)
+            return catenoid_necks(*args, **kwargs)
 
-        monkeypatch.setattr(families, "catenoid_neck", spy)
+        monkeypatch.setattr(families, "catenoid_necks", spy)
         solve_catenoid(1.0, 1.0, r_max=20.0, rtol=1e-9, atol=1e-11)
         assert seen == [(1e-9, 1e-11)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             solve_catenoid(1.0, -1.0)
-        with pytest.raises(ValueError):
-            catenoid_neck(1.0, 0.0, 1.0)
+        for f0 in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="f0 must be positive and finite"):
+                catenoid_necks([1.0], f0, 1.0)
 
 
 class TestHelicoid:

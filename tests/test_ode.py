@@ -10,9 +10,7 @@ from nil3trans import ode
 from nil3trans.families import (
     GrimReaperParams,
     HelicoidParams,
-    catenoid_neck,
     catenoid_necks,
-    grim_reaper_on_window,
     grim_reaper_rhs,
     grim_reapers_on_window,
     slab,
@@ -225,7 +223,7 @@ class TestLanes:
         lams, c, y_max = (10.0, 100.0, 1000.0), 0.5, 1.0
         ys = np.linspace(-y_max, y_max, 201)
         for lam, gamma in zip(lams, grim_reapers_on_window(lams, c, y_max)):
-            alone = grim_reaper_on_window(lam, c, y_max)
+            alone = grim_reapers_on_window([lam], c, y_max)[0]
             assert np.array_equal(gamma(ys), alone(ys))
             assert np.array_equal(gamma(0.3), alone(0.3))
 
@@ -235,7 +233,7 @@ class TestLanes:
         zs = np.concatenate([np.linspace(-z_max, z_max, 101),
                              np.linspace(-2e-4, 2e-4, 41)])
         for lam, (f, trajs) in zip(lams, catenoid_necks(lams, f0, z_max)):
-            alone, alone_trajs = catenoid_neck(lam, f0, z_max)
+            alone, alone_trajs = catenoid_necks([lam], f0, z_max)[0]
             for a, b in zip(trajs, alone_trajs):
                 same_trajectory(a, b)
             assert np.array_equal(f(zs), alone(zs))
