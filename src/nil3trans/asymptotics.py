@@ -92,13 +92,11 @@ class AsymptoticFit:
 
 
 def _arm_samples(arm: ProfileCurve):
-    """Tail samples (r, phi, psi) from a bowl or catenoid profile."""
-    if arm.family == "bowl":
-        traj = arm.trajectories[0]
-    elif arm.family == "catenoid":
-        traj = arm.trajectories[1]  # upper arm
-    else:
+    """Tail samples (r, phi, psi) from a bowl or catenoid profile: its last
+    trajectory, the bowl's one or the catenoid's upper arm."""
+    if arm.family not in ("bowl", "catenoid"):
         raise ValueError(f"not a rotational profile: {arm.family!r}")
+    traj = arm.trajectories[-1]
     r_max = abs(traj.t_end)
     if r_max < 100.0:
         raise ValueError("insufficient tail: arm must extend to r >= 100")
@@ -224,8 +222,8 @@ def grim_endpoint_fit(lam: float, c: float, profile: ProfileCurve) -> dict:
     s = math.sqrt(lam)
     out = {}
     for side, traj, endpoint in (
-        ("b", profile.trajectories[0], profile.diagnostics["b_numeric"]),
-        ("a", profile.trajectories[1], profile.diagnostics["a_numeric"]),
+        ("b", profile.trajectories[1], profile.diagnostics["b_numeric"]),
+        ("a", profile.trajectories[0], profile.diagnostics["a_numeric"]),
     ):
         sign = 1.0 if side == "b" else -1.0
         dist = np.geomspace(1e-6, 1e-5, 200)
@@ -272,21 +270,20 @@ GRIM_LIMIT_WINDOW = 1.0
 ROTATIONAL_LIMIT_WINDOW = 2.0
 LIMIT_SAMPLES = 401
 
-
-def _check_grid(lams):
-    lams = tuple(float(v) for v in lams)
-    if any(b <= a for a, b in zip(lams, lams[1:])):
-        raise ValueError("lambda grid must be strictly increasing")
-    return lams
+# the strictly increasing lambda grids of the three limits
+GRIM_LIMIT_LAMS = (10.0, 1e2, 1e3, 1e4)
+BOWL_LIMIT_LAMS = (10.0, 1e2, 1e3)
+CATENOID_LIMIT_LAMS = (2e3, 8e3, 3.2e4, 1.28e5)
 
 
-def limit_grim_reaper(c: float, lams) -> LimitReport:
+def limit_grim_reaper(c: float) -> LimitReport:
     """Collapse of the tilted grim reapers onto the minimal graph z = xy/2 + cx.
 
-    Per lambda: sup over |y| <= GRIM_LIMIT_WINDOW of |gamma| and |gamma'|, and
-    the ratio of sup|gamma| to the predicted scale log(sqrt(lam))/sqrt(lam).
+    Per lambda of GRIM_LIMIT_LAMS: sup over |y| <= GRIM_LIMIT_WINDOW of |gamma|
+    and |gamma'|, and the ratio of sup|gamma| to the predicted scale
+    log(sqrt(lam))/sqrt(lam).
     """
-    lams = _check_grid(lams)
+    lams = GRIM_LIMIT_LAMS
     ys = np.linspace(-GRIM_LIMIT_WINDOW, GRIM_LIMIT_WINDOW, LIMIT_SAMPLES)
     sups, sups_p, ratios = [], [], []
     for lam, gamma in zip(lams, grim_reapers_on_window(lams, c, GRIM_LIMIT_WINDOW)):
@@ -308,10 +305,10 @@ def limit_grim_reaper(c: float, lams) -> LimitReport:
     )
 
 
-def limit_bowl(lams) -> LimitReport:
+def limit_bowl() -> LimitReport:
     """Collapse of the bowl onto the horizontal plane z = 0 on
-    r <= ROTATIONAL_LIMIT_WINDOW."""
-    lams = _check_grid(lams)
+    r <= ROTATIONAL_LIMIT_WINDOW, per lambda of BOWL_LIMIT_LAMS."""
+    lams = BOWL_LIMIT_LAMS
     sups, psi_sups, c_fits = [], [], []
     for lam, prof in zip(lams, solve_bowls(lams, ROTATIONAL_LIMIT_WINDOW, n_samples=400)):
         sups.append(float(np.max(np.abs(prof.data["phi"]))))
@@ -325,24 +322,25 @@ def limit_bowl(lams) -> LimitReport:
     )
 
 
-def limit_catenoid(f0: float, lams) -> LimitReport:
+def limit_catenoid(f0: float) -> LimitReport:
     """Collapse of the neck profiles onto f~(z) = sqrt(4z^2 + f0^4)/f0 on
-    |z| <= ROTATIONAL_LIMIT_WINDOW."""
-    lams = _check_grid(lams)
+    |z| <= ROTATIONAL_LIMIT_WINDOW, per lambda of CATENOID_LIMIT_LAMS."""
+    lams = CATENOID_LIMIT_LAMS
     k = ROTATIONAL_LIMIT_WINDOW
     # the necks check f0, so the target is formed from a valid f0 only
     necks = catenoid_necks(lams, f0, k)
     zs = np.linspace(-k, k, LIMIT_SAMPLES)
     target = catenoid_limit_profile(f0, zs)[0]
     sups = []
-    for lam, (f, (up, down)) in zip(lams, necks):
+    for lam, (f, (down, up)) in zip(lams, necks):
         if up.termination != "span_end" or down.termination != "span_end":
             # the lower branch turns vertical before the window edge: the
-            # neck is a graph over z only for lambda large enough
+            # neck is a graph over z only for lambda large enough, and a
+            # wider neck turns further out
             raise ValueError(
                 f"neck profile does not cover [-{k}, {k}] at "
                 f"lambda={lam} (graph turns at z={down.t_end:.4f}); "
-                "increase lambda")
+                f"increase f0 (here {f0:g})")
         sups.append(float(np.max(np.abs(f(zs)[:, 0] - target))))
     rate = _loglog_rate(lams, sups)
     quad_ratio = 4.0 ** (-rate) if rate is not None else None

@@ -4,13 +4,16 @@ and meshes, run the verification suites.
 Subcommands: grim, bowl, catenoid, helicoid, planar-grim, limits, verify.
 Exit codes: 0 success, 1 verification failure, 2 usage error (including a
 parameter outside its documented domain), 3 numerical failure (including
-overflow); 2 and 3 print one ``error:`` line on stderr.
+a floating-point overflow, invalid or divide-by-zero result); 2 and 3 print
+one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from . import asymptotics as asym
 from . import exports
@@ -138,9 +141,9 @@ def _run_family(args) -> int:
 
 
 def _run_limits(args) -> int:
-    grim = asym.limit_grim_reaper(args.c, (10.0, 1e2, 1e3, 1e4))
-    bowl = asym.limit_bowl((10.0, 1e2, 1e3))
-    cat = asym.limit_catenoid(args.f0, (2e3, 8e3, 3.2e4, 1.28e5))
+    grim = asym.limit_grim_reaper(args.c)
+    bowl = asym.limit_bowl()
+    cat = asym.limit_catenoid(args.f0)
     report = {}
     for rep in (grim, bowl, cat):
         report[rep.family] = {
@@ -178,11 +181,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "limits":
-            return _run_limits(args)
-        return _run_family(args)
+        # an overflow, invalid or divide-by-zero result raises
+        # FloatingPointError, an ArithmeticError, instead of warning on
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.command == "verify":
+                return _run_verify(args)
+            if args.command == "limits":
+                return _run_limits(args)
+            return _run_family(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

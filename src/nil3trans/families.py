@@ -173,17 +173,15 @@ def solve_grim_reapers(params, rtol: float = ode.DEFAULT_RTOL,
     curves are integrated as the lanes of one ``ode.solve_ivp`` call."""
     params = list(params)
     slabs = [slab(p.lam, p.c) for p in params]
-    lam = np.repeat([p.lam for p in params], 2)
-    c = np.repeat([p.c for p in params], 2)
-    t1 = [t for sl in slabs for t in (sl.b_endpoint + 0.2 * sl.width,
-                                      sl.a_endpoint - 0.2 * sl.width)]
-    trajs = ode.solve_ivp(_grim_lanes, (np.zeros(len(t1)), t1), np.zeros((len(t1), 2)),
-                          args=(lam, c), rtol=rtol, atol=atol).trajectories
-    return [_grim_profile(p, sl, trajs[2 * i], trajs[2 * i + 1], derived)
-            for i, (p, sl) in enumerate(zip(params, slabs))]
+    pairs = _both_ways(_grim_lanes,
+                       [(0.0, sl.a_endpoint - 0.2 * sl.width, (0.0, 0.0)) for sl in slabs],
+                       [(0.0, sl.b_endpoint + 0.2 * sl.width, (0.0, 0.0)) for sl in slabs],
+                       ([p.lam for p in params], [p.c for p in params]), rtol, atol)
+    return [_grim_profile(p, sl, down, up, derived)
+            for p, sl, (down, up) in zip(params, slabs, pairs)]
 
 
-def _grim_profile(params, sl, up, down, derived) -> ProfileCurve:
+def _grim_profile(params, sl, down, up, derived) -> ProfileCurve:
     lam, c = params.lam, params.c
     ys = np.concatenate([down.t[:0:-1], up.t])
     states = np.vstack([down.y[:0:-1], up.y])
@@ -197,7 +195,42 @@ def _grim_profile(params, sl, up, down, derived) -> ProfileCurve:
         "b_numeric": float(up.t_end),
         **_counters(down, up),
     }
-    return ProfileCurve("grim", {"lam": lam, "c": c}, cols, [up, down], diag)
+    return ProfileCurve("grim", {"lam": lam, "c": c}, cols, [down, up], diag)
+
+
+def _both_ways(rhs, down, up, args, rtol: float = ode.DEFAULT_RTOL,
+               atol: float = ode.DEFAULT_ATOL) -> list:
+    """Integrate each curve from its seed in both directions.
+
+    ``down`` and ``up`` give each curve's two halves as ``(t0, t1, y0)``, and
+    ``args`` holds one value sequence per curve.  All halves are the lanes of
+    one ``ode.solve_ivp`` call, (up, down) per curve; the result is one
+    ``(down, up)`` trajectory pair per curve.
+    """
+    lanes = [half for pair in zip(up, down) for half in pair]
+    trajs = ode.solve_ivp(rhs, ([t0 for t0, _, _ in lanes], [t1 for _, t1, _ in lanes]),
+                          [y0 for _, _, y0 in lanes], args=tuple(np.repeat(a, 2) for a in args),
+                          rtol=rtol, atol=atol).trajectories
+    return [(trajs[i + 1], trajs[i]) for i in range(0, len(trajs), 2)]
+
+
+def _joined(down, up, middle=None):
+    """The curve t -> state read from its two halves: ``up`` at and beyond
+    ``up.t[0]``, else ``down`` at and below ``down.t[0]``, and ``middle`` (a
+    callable on arrays) in between."""
+    def curve(t):
+        scalar = np.ndim(t) == 0
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.empty((len(t), up.y.shape[1]))
+        hi = t >= up.t[0]
+        lo = ~hi & (t <= down.t[0])
+        mid = ~hi & ~lo
+        for sel, piece in ((hi, up), (lo, down), (mid, middle)):
+            if np.any(sel):
+                out[sel] = piece(t[sel])
+        return out[0] if scalar else out
+
+    return curve
 
 
 def _counters(*trajs) -> dict:
@@ -234,25 +267,9 @@ def grim_reapers_on_window(lams, c: float, y_max: float) -> list:
         sl = slab(params.lam, params.c)
         if not (sl.a_endpoint < -y_max and y_max < sl.b_endpoint):
             raise ValueError("window exceeds the slab of definition")
-    n = 2 * len(lams)
-    trajs = ode.solve_ivp(_grim_lanes, (np.zeros(n), np.tile([y_max, -y_max], len(lams))),
-                          np.zeros((n, 2)), args=(np.repeat(lams, 2), np.full(n, c))).trajectories
-    return [_window_gamma(trajs[2 * i], trajs[2 * i + 1]) for i in range(len(lams))]
-
-
-def _window_gamma(up, down):
-    def gamma(y):
-        scalar = np.ndim(y) == 0
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty((len(y), 2))
-        pos = y >= 0
-        if np.any(pos):
-            out[pos] = up(y[pos])
-        if np.any(~pos):
-            out[~pos] = down(y[~pos])
-        return out[0] if scalar else out
-
-    return gamma
+    pairs = _both_ways(_grim_lanes, [(0.0, -y_max, (0.0, 0.0))] * len(lams),
+                       [(0.0, y_max, (0.0, 0.0))] * len(lams), (lams, [c] * len(lams)))
+    return [_joined(down, up) for down, up in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -340,44 +357,26 @@ def catenoid_necks(lams, f0: float, z_max: float,
                    rtol: float = ode.DEFAULT_RTOL,
                    atol: float = ode.DEFAULT_ATOL) -> list:
     """Neck profile on [-z_max, z_max] for each of ``lams``, as pairs of a
-    callable z -> (f, f') and the (up, down) trajectories; the halves above
-    and below every apex are integrated as the lanes of one ``ode.solve_ivp``
-    call."""
+    callable z -> (f, f') and the (down, up) trajectories; the halves below
+    and above every apex are integrated as the lanes of one ``ode.solve_ivp``
+    call, and the callable reads ``_apex_taylor`` between them."""
     starts = [ode.series_start("catenoid-apex", lam, f0=f0) for lam in lams]
-    deltas = [delta for delta, _ in starts]
-    y0 = [y for _, (f, fp) in starts for y in ((f, fp), (f, -fp))]
-    trajs = ode.solve_ivp(_neck_lanes, ([t for delta in deltas for t in (delta, -delta)],
-                                        np.tile([z_max, -z_max], len(deltas))),
-                          y0, args=(np.repeat(lams, 2),), rtol=rtol, atol=atol).trajectories
-    return [(_neck_f(lam, f0, delta, trajs[2 * i], trajs[2 * i + 1]),
-             (trajs[2 * i], trajs[2 * i + 1]))
-            for i, (lam, delta) in enumerate(zip(lams, deltas))]
+    pairs = _both_ways(_neck_lanes,
+                       [(-delta, -z_max, (f, -fp)) for delta, (f, fp) in starts],
+                       [(delta, z_max, (f, fp)) for delta, (f, fp) in starts],
+                       (lams,), rtol, atol)
+    return [(_joined(down, up, partial(_apex_taylor, lam, f0)), (down, up))
+            for lam, (down, up) in zip(lams, pairs)]
 
 
-def _neck_f(lam, f0, delta, up, down):
+def _apex_taylor(lam, f0, z):
+    """(f, f') of the neck by its third-order Taylor polynomial at the apex;
+    |z| < 1e-4 keeps the error ~1e-14."""
     s = math.sqrt(lam)
     fpp0 = 4.0 * lam / (f0 * (4.0 + lam * f0 * f0))
     fppp0 = -4.0 * lam / (s * (4.0 + lam * f0 * f0)) * fpp0
-
-    def f(z):
-        scalar = np.ndim(z) == 0
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.empty((len(z), 2))
-        pos = z >= delta
-        neg = z <= -delta
-        mid = ~pos & ~neg
-        if np.any(pos):
-            out[pos] = up(z[pos])
-        if np.any(neg):
-            out[neg] = down(z[neg])
-        if np.any(mid):
-            # third-order Taylor at the apex; |z| < 1e-4 keeps the error ~1e-14
-            zm = z[mid]
-            out[mid, 0] = f0 + 0.5 * fpp0 * zm**2 + fppp0 * zm**3 / 6.0
-            out[mid, 1] = fpp0 * zm + 0.5 * fppp0 * zm**2
-        return out[0] if scalar else out
-
-    return f
+    return np.column_stack([f0 + 0.5 * fpp0 * z**2 + fppp0 * z**3 / 6.0,
+                            fpp0 * z + 0.5 * fppp0 * z**2])
 
 
 def neck_patch_jet(lam: float, z, f, f_p, v2: float = 0.0) -> PatchJet:
@@ -438,10 +437,9 @@ def solve_catenoid(lam: float, f0: float, r_max: float = 200.0,
         raise ValueError(f"r_max must exceed the junction radius "
                          f"{max(c0p, c0m):.6g} of the neck")
 
-    # both arms as the two lanes of one call
-    arm_p, arm_m = ode.solve_ivp(_rotational_lanes, ([c0p, c0m], [r_max, r_max]),
-                                 [(eps, 1.0 / c1p), (-eps, 1.0 / c1m)],
-                                 args=(np.full(2, lam),), rtol=rtol, atol=atol).trajectories
+    # the lower and upper arm, out from their junctions
+    [(arm_m, arm_p)] = _both_ways(_rotational_lanes, [(c0m, r_max, (-eps, 1.0 / c1m))],
+                                  [(c0p, r_max, (eps, 1.0 / c1p))], ([lam],), rtol, atol)
 
     # sample the curve in order: lower arm from large r down, neck bottom to
     # top, upper arm up; the two arms share one graph kernel call
@@ -516,21 +514,23 @@ def helicoid_curvature(lam, c, tau, nu):
     return num / den
 
 
+def _helicoid_frame(g1, g2, th):
+    """cos theta, sin theta and the tangential and normal components tau, nu
+    of the position (g1, g2) in the frame of the tangent angle theta."""
+    ct, st = np.cos(th), np.sin(th)
+    return ct, st, g1 * ct + g2 * st, g2 * ct - g1 * st
+
+
 def helicoid_rhs(lam, c, state):
     """State derivative for (gamma1, gamma2, theta) with theta the tangent angle."""
-    g1, g2, th = state
-    ct, st = np.cos(th), np.sin(th)
-    tau = g1 * ct + g2 * st
-    nu = g2 * ct - g1 * st
+    ct, st, tau, nu = _helicoid_frame(*state)
     return ct, st, helicoid_curvature(lam, c, tau, nu)
 
 
 def helicoid_patch_jet(lam: float, c: float, g1, g2, th, v2: float = 0.0) -> PatchJet:
     """Patch jet of the helicoidal surface (e^{i v2} gamma(v1), c v2) at v2,
     per sample (g1, g2, th) of the generating curve."""
-    ct, st = np.cos(th), np.sin(th)
-    tau = g1 * ct + g2 * st
-    nu = -g1 * st + g2 * ct
+    ct, st, tau, nu = _helicoid_frame(g1, g2, th)
     k = helicoid_curvature(lam, c, tau, nu)
     r2 = tau * tau + nu * nu
     cv, sv = math.cos(v2), math.sin(v2)
@@ -573,37 +573,32 @@ def solve_helicoids(params, s_span: float = 50.0, n_samples: int = 4001,
     if not 0 < s_span <= MAX_HELICOID_SPAN:
         raise ValueError(f"s_span must lie in (0, {MAX_HELICOID_SPAN:g}]")
     params = list(params)
-    lam = np.repeat([p.lam for p in params], 2)
-    c = np.repeat([p.pitch for p in params], 2)
-    y0 = [(p.r0, 0.0, 0.5 * math.pi) for p in params for _ in range(2)]
-    t1 = np.tile([s_span, -s_span], len(params))
-    trajs = ode.solve_ivp(_helicoid_lanes, (np.zeros(len(t1)), t1), y0, args=(lam, c),
-                          rtol=rtol, atol=atol).trajectories
-    return [_helicoid_profile(p, s_span, n_samples, trajs[2 * i], trajs[2 * i + 1])
-            for i, p in enumerate(params)]
+    seeds = [(p.r0, 0.0, 0.5 * math.pi) for p in params]
+    pairs = _both_ways(_helicoid_lanes, [(0.0, -s_span, y0) for y0 in seeds],
+                       [(0.0, s_span, y0) for y0 in seeds],
+                       ([p.lam for p in params], [p.pitch for p in params]), rtol, atol)
+    return [_helicoid_profile(p, s_span, n_samples, down, up)
+            for p, (down, up) in zip(params, pairs)]
 
 
-def _helicoid_profile(params, s_span, n_samples, fwd, bwd) -> ProfileCurve:
+def _helicoid_profile(params, s_span, n_samples, down, up) -> ProfileCurve:
     lam, c, r0 = params.lam, params.pitch, params.r0
+    for arm in (down, up):
+        if arm.termination != "span_end":
+            raise RuntimeError(f"helicoid arm ended at s = {arm.t_end:.6g} before "
+                               f"its span end ({arm.termination})")
     ss = np.linspace(-s_span, s_span, n_samples)
-    states = np.empty((n_samples, 3))
-    pos = ss >= 0
-    states[pos] = fwd(ss[pos])
-    states[~pos] = bwd(ss[~pos])
-
-    g1, g2, th = states.T
-    ct, st = np.cos(th), np.sin(th)
-    tau = g1 * ct + g2 * st
-    nu = -g1 * st + g2 * ct
+    g1, g2, th = _joined(down, up)(ss).T
+    _, _, tau, nu = _helicoid_frame(g1, g2, th)
     cols = {"s": ss, "gamma1": g1, "gamma2": g2, "theta_t": th, "tau": tau, "nu": nu,
             "r2": tau * tau + nu * nu, "k": helicoid_curvature(lam, c, tau, nu)}
     jet = helicoid_patch_jet(lam, c, g1, g2, th)
     cols.update(_shape_columns(lam, patch_shape(lam, jet)))
     winding = np.unwrap(np.arctan2(cols["gamma2"], cols["gamma1"]))
-    diag = {"winding": winding, **_counters(bwd, fwd)}
+    diag = {"winding": winding, **_counters(down, up)}
     return ProfileCurve(
         "helicoid", {"lam": lam, "pitch": c, "r0": r0, "s_span": s_span},
-        cols, [bwd, fwd], diag)
+        cols, [down, up], diag)
 
 
 def helicoid_kprime_numerator(lam: float, c: float, tau: float, nu: float) -> float:

@@ -139,7 +139,7 @@ def patch_shape(lam: float, jet: PatchJet) -> ShapeData:
     g22 = _dot(lam, v2, v2)
     det_g = g11 * g22 - g12 * g12
     if np.any(det_g <= 1e-12 * np.maximum(1.0, g11 * g22)):
-        raise ValueError("tangent basis is (numerically) degenerate")
+        raise RuntimeError("tangent basis is (numerically) degenerate")
     w = _cross(v1, v2)
     n = (w[0], w[1], w[2] / lam)
     n_norm = np.sqrt(_dot(lam, n, n))

@@ -532,7 +532,7 @@ def asymptotics_suite(shared):
 
 def limits_suite():
     checks = []
-    rep = asym.limit_grim_reaper(0.0, (10.0, 1e2, 1e3, 1e4))
+    rep = asym.limit_grim_reaper(0.0)
     checks.append(_check("limit-grim-decreasing",
                          "Thm 1.2(1): convergence to z = xy/2 + cx on strips",
                          1.0, float(rep.strictly_decreasing), 0.0, kind="true"))
@@ -543,7 +543,7 @@ def limits_suite():
                          "Thm 1.2(1): the limit surface is minimal",
                          0.0, rep.details["limit_surface_H_sup"], 1e-12))
 
-    repb = asym.limit_bowl((10.0, 1e2, 1e3))
+    repb = asym.limit_bowl()
     checks.append(_check("limit-bowl-decreasing",
                          "Thm 1.2(2): uniform convergence to a horizontal plane",
                          1.0, float(repb.strictly_decreasing), 0.0, kind="true"))
@@ -552,12 +552,12 @@ def limits_suite():
                          "sec. 4 Prop: |psi| <= C0 lam^(-1/6) (bound, constant from the grid)",
                          cs[0], max(cs[1:]), 1e-12, kind="le"))
     plane_h = max(abs(graph_shape(lam, GraphJet(0.3, -0.7, 1.0, 0, 0, 0, 0, 0)).H)
-                  for lam in (10.0, 1e2, 1e3))
+                  for lam in asym.BOWL_LIMIT_LAMS)
     checks.append(_check("limit-plane-minimal",
                          "horizontal plane has H = 0 for every lam",
                          0.0, plane_h, 1e-12))
 
-    repc = asym.limit_catenoid(1.0, (2e3, 8e3, 3.2e4, 1.28e5))
+    repc = asym.limit_catenoid(1.0)
     checks.append(_check("limit-catenoid-decreasing",
                          "Thm 1.2(3): convergence on cylinders to f~",
                          1.0, float(repc.strictly_decreasing), 0.0, kind="true"))

@@ -228,20 +228,20 @@ class TestEndpointFits:
 
 class TestLimits:
     def test_grim_limit(self):
-        rep = limit_grim_reaper(0.0, (10.0, 1e2, 1e3))
+        rep = limit_grim_reaper(0.0)
         assert rep.strictly_decreasing
         assert max(rep.details["ratios"]) <= 1.0
         assert rep.details["limit_surface_H_sup"] < 1e-12
         assert rep.decay_rate is not None and rep.decay_rate < 0
 
     def test_bowl_limit(self):
-        rep = limit_bowl((10.0, 1e2, 1e3))
+        rep = limit_bowl()
         assert rep.strictly_decreasing
         cs = rep.details["psi_bound_constants"]
         assert max(cs) <= cs[0]
 
     def test_catenoid_limit(self):
-        rep = limit_catenoid(1.0, (2e3, 8e3))
+        rep = limit_catenoid(1.0)
         assert rep.strictly_decreasing
         # observed decay ~ lam^(-1/2): quadrupling lambda roughly halves
         # the sup-norm error on the window
@@ -257,16 +257,15 @@ class TestLimits:
         assert f == pytest.approx(np.sqrt(4 * zs**2 + 16.0) / 2.0, abs=1e-14)
 
     def test_catenoid_window_guard(self):
-        # at moderate lambda the lower neck branch turns vertical before
-        # z = -2, so the window is not covered and the report must refuse
-        with pytest.raises(ValueError, match="lambda=10.0 "):
-            limit_catenoid(1.0, (10.0, 100.0))
+        # for a thin neck the lower branch turns vertical before z = -2 (at
+        # z = -0.0636 for lambda = 2e3), so the window is not covered and the
+        # report must refuse, naming the f0 to change
+        with pytest.raises(ValueError, match=r"lambda=2000.0 .*increase f0 \(here 0.1\)"):
+            limit_catenoid(0.1)
 
-    def test_grid_validation(self):
+    def test_catenoid_f0_validation(self):
         with pytest.raises(ValueError):
-            limit_bowl((100.0, 10.0))
-        with pytest.raises(ValueError):
-            limit_catenoid(-1.0, (10.0, 100.0))
+            limit_catenoid(-1.0)
 
 
 class TestHorizontalMeanCurvature:

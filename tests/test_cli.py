@@ -213,6 +213,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical failure:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        # numpy overflow: once warned, and ran on or exited 2 with a nan report
+        ["helicoid", "--pitch", "1e-300"],
+        ["limits", "--c", "1e200"],
+        ["limits", "--f0", "1e-3"],
+        # degenerate tangent basis: once exited 2 as a usage error
+        ["helicoid", "--r0", "1e6"],
+        ["helicoid", "--pitch", "1e-6"],
+        ["helicoid", "--pitch", "1e-12"],
+        # an arm ended by step underflow: once exited 2 from the read-back
+        ["helicoid", "--pitch", "1e-20"],
+        ["helicoid", "--pitch", "1e-100"],
+    ], ids=" ".join)
+    def test_floating_point_failure_exit_code(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: numerical failure:")
+        assert captured.err.count("\n") == 1
+
     def test_grim_csv_stdout(self, capsys):
         assert main(["grim", "--lambda", "1.0"]) == 0
         out = capsys.readouterr()

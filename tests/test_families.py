@@ -165,6 +165,17 @@ class TestCatenoid:
             assert below[0] == pytest.approx(above[0], abs=1e-11)
             assert below[1] == pytest.approx(above[1], abs=1e-8)
 
+    def test_neck_read_back_seams(self):
+        # each half starts at its seam, and the step interpolant at step
+        # fraction 0 returns the step's start state exactly
+        f0 = 1.0
+        f, (down, up) = catenoid_necks([1.0], f0, 0.5)[0]
+        delta = up.t[0]
+        assert 0 < delta and down.t[0] == -delta
+        assert np.array_equal(f(delta), up.y[0])
+        assert np.array_equal(f(-delta), down.y[0])
+        assert np.array_equal(f(0.0), [f0, 0.0])
+
     def test_gluing_offset(self):
         eps, f = choose_gluing_offset(1.0, 1.0)
         assert 0 < eps <= 0.1
@@ -387,15 +398,26 @@ class TestSolverCounters:
             diag = prof.diagnostics
             assert len(diag["termination"]) == len(prof.trajectories), name
             for key in ("termination", "n_steps", "nfev"):
-                assert sorted(diag[key]) == sorted(getattr(tr, key)
-                                                   for tr in prof.trajectories), name
+                assert diag[key] == tuple(getattr(tr, key) for tr in prof.trajectories), name
             assert all(isinstance(v, int) and v > 0 for v in diag["n_steps"] + diag["nfev"])
             # reading the dense output leaves the counters as recorded
             for tr in prof.trajectories:
                 tr(tr.t_end)
-            assert sorted(diag["nfev"]) == sorted(tr.nfev for tr in prof.trajectories), name
+            assert diag["nfev"] == tuple(tr.nfev for tr in prof.trajectories), name
         bowl = solve_bowl(1.0, 20.0)
         traj = bowl.trajectories[0]
         assert (bowl.diagnostics["termination"], bowl.diagnostics["n_steps"],
                 bowl.diagnostics["nfev"]) == (traj.termination, traj.n_steps, traj.nfev)
         assert traj.n_steps == len(traj.t) - 1
+
+    def test_two_piece_trajectories_run_down_then_up(self):
+        # grim y and helicoid s run from the seed at 0 to either end
+        for prof in (solve_grim_reaper(GrimReaperParams(1.0, 0.5)),
+                     solve_helicoid(HelicoidParams(1.0, 1.0, 1.0), s_span=10.0)):
+            down, up = prof.trajectories
+            assert down.t[0] == up.t[0] == 0.0, prof.family
+            assert down.t_end < 0.0 < up.t_end, prof.family
+        # the catenoid arms both run out in r, from junctions below and above
+        # the apex z = 0 (their heights both grow like r^2 far out)
+        down, up = solve_catenoid(1.0, 1.0).trajectories
+        assert down.y[0, 0] < 0.0 < up.y[0, 0]

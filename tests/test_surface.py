@@ -195,7 +195,7 @@ class TestPatchShape:
     def test_degenerate_patch_rejected(self):
         jet = PatchJet(Point(0, 0, 0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0),
                        (0,) * 6, (0,) * 6)
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError, match="degenerate"):
             patch_shape(1.0, jet)
 
     def test_patch_indices_validated(self):
@@ -401,7 +401,7 @@ class TestArrayKernel:
         good = PatchJet(Point(0, 0, 0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0,) * 6, (0,) * 6)
         bad = PatchJet(Point(0, 0, 0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0,) * 6, (0,) * 6)
         patch_shape(1.0, stack_patch_jets([good, good]))
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError, match="degenerate"):
             patch_shape(1.0, stack_patch_jets([good, bad, good]))
 
     def test_is_characteristic_per_sample(self):
