@@ -9,19 +9,17 @@ their asymptotic expansions and large-lambda limits.
 
 from .core import (
     FrameVector,
-    Isometry,
     KillingField,
     ORIGIN,
     Point,
     connection_bilinear,
     connection_table,
     covariant_derivative_fd,
-    frame_vector_from_coordinate,
     group_inv,
     group_mul,
     killing_eval,
+    killing_flow,
     metric,
-    norm,
     sectional_curvature,
     vertical_translation_field,
 )

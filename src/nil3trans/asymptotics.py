@@ -275,6 +275,11 @@ GRIM_LIMIT_LAMS = (10.0, 1e2, 1e3, 1e4)
 BOWL_LIMIT_LAMS = (10.0, 1e2, 1e3)
 CATENOID_LIMIT_LAMS = (2e3, 8e3, 3.2e4, 1.28e5)
 
+# the largest neck radius of the catenoid limit: the sup errors of a wider
+# neck reach the round-off floor of f ~ f0 inside the grid (at f0 = 100 they
+# halve down to 6e-12; from f0 ~ 262.4 on they stop decreasing)
+CATENOID_LIMIT_MAX_F0 = 100.0
+
 
 def limit_grim_reaper(c: float) -> LimitReport:
     """Collapse of the tilted grim reapers onto the minimal graph z = xy/2 + cx.
@@ -324,9 +329,12 @@ def limit_bowl() -> LimitReport:
 
 def limit_catenoid(f0: float) -> LimitReport:
     """Collapse of the neck profiles onto f~(z) = sqrt(4z^2 + f0^4)/f0 on
-    |z| <= ROTATIONAL_LIMIT_WINDOW, per lambda of CATENOID_LIMIT_LAMS."""
+    |z| <= ROTATIONAL_LIMIT_WINDOW, per lambda of CATENOID_LIMIT_LAMS, for
+    f0 up to CATENOID_LIMIT_MAX_F0."""
     lams = CATENOID_LIMIT_LAMS
     k = ROTATIONAL_LIMIT_WINDOW
+    if f0 > CATENOID_LIMIT_MAX_F0:
+        raise ValueError(f"f0 must be at most {CATENOID_LIMIT_MAX_F0:g} (here {f0})")
     # the necks check f0, so the target is formed from a valid f0 only
     necks = catenoid_necks(lams, f0, k)
     zs = np.linspace(-k, k, LIMIT_SAMPLES)

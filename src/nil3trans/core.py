@@ -1,4 +1,4 @@
-"""Group structure, metric family and Killing fields of the Heisenberg group Nil3.
+"""Group structure, metric family, Killing fields and their flows of Nil3.
 
 Nil3 is R^3 with the group law
     (x1,y1,z1) * (x2,y2,z2) = (x1+x2, y1+y2, z1+z2+(x1*y2-x2*y1)/2)
@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -68,14 +70,6 @@ class FrameVector:
         )
 
 
-def frame_vector_from_coordinate(base: Point, vx: float, vy: float, vz: float) -> FrameVector:
-    """Convert a coordinate-basis tangent vector at ``base`` to frame coefficients.
-
-    Uses d/dx = X + (y/2) Z, d/dy = Y - (x/2) Z, d/dz = Z.
-    """
-    return FrameVector(base, vx, vy, vz + 0.5 * base.y * vx - 0.5 * base.x * vy)
-
-
 def metric(lam: float, v: FrameVector, w: FrameVector) -> float:
     """Inner product g_lam(v, w); v and w must share the same base point.
 
@@ -85,10 +79,6 @@ def metric(lam: float, v: FrameVector, w: FrameVector) -> float:
     if v.base != w.base:
         raise ValueError("frame vectors have different base points")
     return v.cX * w.cX + v.cY * w.cY + lam * v.cZ * w.cZ
-
-
-def norm(lam: float, v: FrameVector) -> float:
-    return math.sqrt(metric(lam, v, v))
 
 
 def _lam_value(lam) -> float:
@@ -207,66 +197,21 @@ def killing_eval(k: KillingField, p: Point) -> FrameVector:
     return FrameVector(p, cX, cY, cZ)
 
 
-class Isometry:
-    """An isometry of Nil3: left translation, horizontal rotation or composite.
+def killing_flow(k: KillingField, u, p: Point) -> Point:
+    """Move ``p`` for time ``u`` along the flow of ``k``; ``u`` and the
+    coordinates of ``p`` may be arrays that broadcast.
 
-    The differential acts on frame coefficients: it is the identity for left
-    translations (the frame is left invariant) and rotates (cX, cY) for
-    horizontal rotations.
+    With a4 = 0 the flow is the left translation by u*(a1, a2, a3); with
+    a1 = a2 = 0 it is the rotation by a4*u about the z-axis, lifted by a3*u.
+    The remaining fields rotate about a shifted axis, which no family uses.
     """
-
-    def __init__(self, kind: str, param, parts=None):
-        if kind not in ("left_translation", "rotation", "composite"):
-            raise ValueError(f"unknown isometry kind {kind!r}")
-        self.kind = kind
-        self.param = param
-        self.parts = list(parts) if parts is not None else None
-
-    @classmethod
-    def left_translation(cls, p: Point) -> "Isometry":
-        return cls("left_translation", p)
-
-    @classmethod
-    def rotation(cls, angle: float) -> "Isometry":
-        return cls("rotation", float(angle))
-
-    @classmethod
-    def composite(cls, parts) -> "Isometry":
-        return cls("composite", None, parts)
-
-    def apply(self, p: Point) -> Point:
-        if self.kind == "left_translation":
-            return group_mul(self.param, p)
-        if self.kind == "rotation":
-            c, s = math.cos(self.param), math.sin(self.param)
-            return Point(c * p.x - s * p.y, s * p.x + c * p.y, p.z)
-        q = p
-        for part in self.parts:
-            q = part.apply(q)
-        return q
-
-    def push_forward(self, v: FrameVector) -> FrameVector:
-        if self.kind == "left_translation":
-            return FrameVector(self.apply(v.base), v.cX, v.cY, v.cZ)
-        if self.kind == "rotation":
-            c, s = math.cos(self.param), math.sin(self.param)
-            return FrameVector(
-                self.apply(v.base),
-                c * v.cX - s * v.cY,
-                s * v.cX + c * v.cY,
-                v.cZ,
-            )
-        w = v
-        for part in self.parts:
-            w = part.push_forward(w)
-        return w
-
-    def inverse(self) -> "Isometry":
-        if self.kind == "left_translation":
-            return Isometry.left_translation(group_inv(self.param))
-        if self.kind == "rotation":
-            return Isometry.rotation(-self.param)
-        return Isometry.composite([part.inverse() for part in reversed(self.parts)])
+    if k.a4 == 0:
+        return group_mul(Point(k.a1 * u, k.a2 * u, k.a3 * u), p)
+    if k.a1 == 0 and k.a2 == 0:
+        angle = k.a4 * u
+        c, s = np.cos(angle), np.sin(angle)
+        return Point(c * p.x - s * p.y, s * p.x + c * p.y, p.z + k.a3 * u)
+    raise ValueError(f"no flow for {k}: rotations about a shifted axis are not supported")
 
 
 def covariant_derivative_fd(lam, field, v: FrameVector) -> FrameVector:

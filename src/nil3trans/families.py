@@ -15,7 +15,7 @@ horizontal translation directions.
 
 Each family is described once, here: its constructor builds the profile's
 ``data`` table, which the CSV export prints as it stands, and ``_SWEEPS``
-gives the group that sweeps the profile into a surface.
+gives the Killing field whose flow sweeps the profile into a surface.
 
 Every constructed ``ProfileCurve`` carries per-sample mean curvature,
 translator residual and curvatures recomputed through the surface kernel,
@@ -27,13 +27,13 @@ call per piece.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from . import ode
-from .core import group_mul, Point, vertical_translation_field
+from .core import KillingField, Point, killing_flow, vertical_translation_field
 from .surface import (
     GraphJet,
     PatchJet,
@@ -484,6 +484,12 @@ def solve_catenoid(lam: float, f0: float, r_max: float = 200.0,
 # with the span
 MAX_HELICOID_SPAN = 1e4
 
+# smallest sqrt(lam)*|pitch| that is solved: the curvature ~ 1/(sqrt(lam) c)
+# of a flatter helicoid is far beyond what the span resolves (the integration
+# only stops at a step underflow, after up to a minute), and from 1e-6 down
+# the tangent basis of the swept patch is degenerate anyway
+MIN_HELICOID_SCALE = 1e-8
+
 
 @dataclass(frozen=True)
 class HelicoidParams:
@@ -573,6 +579,11 @@ def solve_helicoids(params, s_span: float = 50.0, n_samples: int = 4001,
     if not 0 < s_span <= MAX_HELICOID_SPAN:
         raise ValueError(f"s_span must lie in (0, {MAX_HELICOID_SPAN:g}]")
     params = list(params)
+    for p in params:
+        scale = math.sqrt(p.lam) * abs(p.pitch)
+        if scale < MIN_HELICOID_SCALE:
+            raise RuntimeError(f"sqrt(lambda)*|pitch| = {scale:g} is below "
+                               f"{MIN_HELICOID_SCALE:g}: the curvature is unresolvable")
     seeds = [(p.r0, 0.0, 0.5 * math.pi) for p in params]
     pairs = _both_ways(_helicoid_lanes, [(0.0, -s_span, y0) for y0 in seeds],
                        [(0.0, s_span, y0) for y0 in seeds],
@@ -659,15 +670,20 @@ def planar_grim_reaper(direction) -> ProfileCurve:
 # swept surfaces
 
 
-# family -> (sweep group, the data columns giving the Nil3 coordinates x, y, z
-# of the profile points, None for 0, and the params key of the slope c of the
-# translation or helicoidal group, None for 0)
+# profile points (before the subsampling merges any) and rings of a swept mesh
+SWEEP_PROFILE_POINTS = 100
+SWEEP_RINGS = 60
+
+# family -> (the Killing field whose flow sweeps the profile, the data columns
+# giving the Nil3 coordinates x, y, z of the profile points, None for 0, and
+# the params key of the slope c added along F3, None for 0)
+_F1, _F3, _F4 = KillingField(a1=1.0), KillingField(a3=1.0), KillingField(a4=1.0)
 _SWEEPS = {
-    "grim": ("translation", (None, "y", "gamma"), "c"),
-    "bowl": ("rotation", ("r", None, "phi"), None),
-    "catenoid": ("rotation", ("r", None, "z"), None),
-    "helicoid": ("helicoidal", ("gamma1", "gamma2", None), "pitch"),
-    "planar-grim": ("vertical", ("px", "py", None), None),
+    "grim": (_F1, (None, "y", "gamma"), "c"),
+    "bowl": (_F4, ("r", None, "phi"), None),
+    "catenoid": (_F4, ("r", None, "z"), None),
+    "helicoid": (_F4, ("gamma1", "gamma2", None), "pitch"),
+    "planar-grim": (_F3, ("px", "py", None), None),
 }
 
 
@@ -690,24 +706,27 @@ def _adaptive_indices(pts, scalars, n: int):
     return np.unique(idx)
 
 
-def sweep_surface(profile: ProfileCurve, n_profile: int = 100, n_sweep: int = 60,
-                  sweep_range: tuple | None = None) -> Mesh:
-    """Sweep a profile curve by its family's one-parameter group into a quad mesh.
+def sweep_surface(profile: ProfileCurve, sweep_range: tuple | None = None) -> Mesh:
+    """Sweep a profile curve by the flow of its family's Killing field into a
+    quad mesh of SWEEP_PROFILE_POINTS profile points (fewer where the
+    subsampling merges some) by SWEEP_RINGS rings.
 
-    Vertex ``j * n_profile + i`` is profile point ``i`` moved by the group
-    element of parameter ``us[j]``; faces run over rings, then the profile.
+    Vertex ``j * n_profile + i`` is profile point ``i`` moved by the flow for
+    time ``us[j]``; faces run over rings, then the profile.
     """
-    group, columns, slope = _SWEEPS[profile.family]
+    gen, columns, slope = _SWEEPS[profile.family]
+    if slope:
+        gen = replace(gen, a3=gen.a3 + profile.params[slope])
     d = profile.data
     pts = np.column_stack([d[k] if k else np.zeros_like(profile.t) for k in columns])
     scalars = {k: d[k] for k in ("H", "residual", "K_gauss", "K_intrinsic", "curvature")
                if k in d}
-    idx = _adaptive_indices(pts, scalars, n_profile)
+    idx = _adaptive_indices(pts, scalars, SWEEP_PROFILE_POINTS)
     pts = pts[idx]
     scalars = {k: v[idx] for k, v in scalars.items()}
-    n_profile = len(pts)
+    n_profile, n_sweep = len(pts), SWEEP_RINGS
 
-    closed = group == "rotation"
+    closed = gen == _F4
     if closed:
         us = np.linspace(0.0, 2.0 * math.pi, n_sweep, endpoint=False)
     else:
@@ -719,20 +738,9 @@ def sweep_surface(profile: ProfileCurve, n_profile: int = 100, n_sweep: int = 60
             raise ValueError(f"sweep range ({lo:g}, {hi:g}) must have lo < hi")
         us = np.linspace(lo, hi, n_sweep)
 
-    c = profile.params[slope] if slope else 0.0
-    u = us[:, None]
-    x, y, z = pts.T
     verts = np.empty((n_sweep, n_profile, 3))
-    if group == "translation":
-        q = group_mul(Point(u, 0.0, c * u), Point(x, y, z))
-        verts[..., 0], verts[..., 1], verts[..., 2] = q.coords()
-    elif group == "vertical":
-        verts[..., 0], verts[..., 1], verts[..., 2] = x, y, z + u
-    else:  # rotation about the z-axis, lifted by c*u for the helicoidal group
-        cu, su = np.cos(u), np.sin(u)
-        verts[..., 0] = cu * x - su * y
-        verts[..., 1] = su * x + cu * y
-        verts[..., 2] = z + c * u if group == "helicoidal" else z
+    q = killing_flow(gen, us[:, None], Point(*pts.T))
+    verts[..., 0], verts[..., 1], verts[..., 2] = q.coords()
 
     n_rings = n_sweep if closed else n_sweep - 1
     ring = np.arange(n_rings)[:, None] * n_profile

@@ -211,9 +211,8 @@ def _grim_grid_checks():
         sup_end = max(sup_end,
                       abs(prof.diagnostics["a_numeric"] - sl.a_endpoint),
                       abs(prof.diagnostics["b_numeric"] - sl.b_endpoint))
-        s = math.sqrt(lam)
-        formula = 2.0 / s * math.sqrt(1 + lam * c * c) * math.sinh(0.5 * math.pi * s)
-        sup_width = max(sup_width, abs(sl.width - formula))
+        # Thm 1.1(2)'s width against the endpoints of Thm 3.1(2)
+        sup_width = max(sup_width, abs(sl.width - (sl.b_endpoint - sl.a_endpoint)))
     checks.append(_check("grim-closed-form-sup-error",
                          "gamma' closed form vs Cauchy lambda, grid {0.5,1,4}x{0,1,2}",
                          0.0, sup_cf, 1e-8))

@@ -266,6 +266,9 @@ class TestLimits:
     def test_catenoid_f0_validation(self):
         with pytest.raises(ValueError):
             limit_catenoid(-1.0)
+        # above the bound the errors reach round-off inside the grid
+        with pytest.raises(ValueError, match=r"f0 must be at most 100 \(here 1000.0\)"):
+            limit_catenoid(1000.0)
 
 
 class TestHorizontalMeanCurvature:

@@ -84,8 +84,7 @@ class TestExports:
 
     def test_obj_structure(self):
         prof = planar_grim_reaper((0.0, 1.0))
-        mesh = sweep_surface(prof, n_profile=12, n_sweep=4,
-                             sweep_range=(0.0, 1.0))
+        mesh = sweep_surface(prof, sweep_range=(0.0, 1.0))
         text = exports.obj_text(mesh)
         lines = text.splitlines()
         v_lines = [l for l in lines if l.startswith("v ")]
@@ -103,13 +102,13 @@ class TestExports:
 
     def test_obj_scalar_comments(self):
         prof = solve_bowl(1.0, 5.0)
-        mesh = sweep_surface(prof, n_profile=10, n_sweep=4)
+        mesh = sweep_surface(prof)
         text = exports.obj_text(mesh)
         assert text.count("# vH ") == len(mesh.vertices)
 
     def test_closed_mesh_face_count(self):
         prof = solve_bowl(1.0, 5.0)
-        mesh = sweep_surface(prof, n_profile=10, n_sweep=6)
+        mesh = sweep_surface(prof)
         n_p, n_s = mesh.shape
         assert len(mesh.faces) == (n_p - 1) * n_s
 
@@ -154,6 +153,19 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
+    def test_tiny_pitch_exits_promptly(self):
+        # a helicoid this flat once integrated for over a minute before its
+        # step underflow ended it
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(nil3trans.__file__)),
+                          os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "nil3trans.cli", "helicoid",
+                               "--pitch", "1e-30"],
+                              capture_output=True, text=True, timeout=20, env=env)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: numerical failure:")
+        assert proc.stderr.count("\n") == 1
+
     def test_runtime_imports_no_scipy(self):
         # scipy is a test-only dependency; the installed program needs numpy only
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -197,6 +209,7 @@ class TestCli:
         ["limits", "--c", "-1"],  # once exited 0 with a report
         ["helicoid", "--pitch", "inf"],  # once warned from helicoid_curvature first
         ["limits", "--f0", "inf"],  # once warned from the catenoid limit's target
+        ["limits", "--f0", "1000"],  # once exited 1: its errors sat at round-off
     ], ids=" ".join)
     def test_out_of_domain_exit_code(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:

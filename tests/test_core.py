@@ -6,19 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from nil3trans.core import (
     FrameVector,
-    Isometry,
     KillingField,
     ORIGIN,
     Point,
     connection_bilinear,
     connection_table,
     covariant_derivative_fd,
-    frame_vector_from_coordinate,
     group_inv,
     group_mul,
     killing_eval,
+    killing_flow,
     metric,
-    norm,
     sectional_curvature,
     vertical_translation_field,
 )
@@ -84,11 +82,6 @@ class TestMetric:
         w = FrameVector(Point(1, 0, 0), 1, 0, 0)
         with pytest.raises(ValueError):
             metric(1.0, v, w)
-
-    def test_coordinate_frame_round_trip(self):
-        p = Point(0.7, -1.1, 0.4)
-        v = frame_vector_from_coordinate(p, 0.3, -0.2, 1.5)
-        assert v.coordinate_velocity() == pytest.approx((0.3, -0.2, 1.5), abs=1e-15)
 
 
 class TestConnection:
@@ -199,8 +192,12 @@ class TestKilling:
     def test_f3_only_constant_norm(self):
         pts = [Point(x, y, 0.0) for x in (-2, 0, 1.5) for y in (-1, 0.5, 2)]
         lam = 2.0
-        norms = {i: [norm(lam, killing_eval(KillingField(**{f"a{i}": 1.0}), p))
-                     for p in pts] for i in (1, 2, 3, 4)}
+
+        def field_norm(i, p):
+            v = killing_eval(KillingField(**{f"a{i}": 1.0}), p)
+            return math.sqrt(metric(lam, v, v))
+
+        norms = {i: [field_norm(i, p) for p in pts] for i in (1, 2, 3, 4)}
         assert np.var(norms[3]) == 0.0
         assert norms[3][0] == pytest.approx(math.sqrt(lam), abs=1e-15)
         for i in (1, 2, 4):
@@ -224,7 +221,7 @@ class TestKilling:
         lam = 4.0
         v = killing_eval(vertical_translation_field(lam), Point(1, 2, 3))
         assert v.coeffs() == (0.0, 0.0, 0.5)
-        assert norm(lam, v) == pytest.approx(1.0, abs=1e-15)
+        assert math.sqrt(metric(lam, v, v)) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
     def test_lambda_outside_domain(self, lam):
@@ -232,35 +229,61 @@ class TestKilling:
             vertical_translation_field(lam)
 
 
-class TestIsometry:
-    def test_left_translation_round_trip(self):
-        iso = Isometry.left_translation(Point(0.4, -1.0, 2.0))
-        p = Point(1.0, 2.0, -0.5)
-        q = iso.inverse().apply(iso.apply(p))
-        assert max(abs(a - b) for a, b in zip(p.coords(), q.coords())) < 1e-13
+# the Killing fields whose flows sweep the families: grim (F1 + c F3),
+# bowl and catenoid (F4), helicoid (F4 + pitch F3), planar grim (F3)
+SWEEP_FIELDS = {"grim": KillingField(a1=1.0, a3=0.5), "rotation": KillingField(a4=1.0),
+                "helicoid": KillingField(a3=-0.7, a4=1.0), "planar-grim": KillingField(a3=1.0)}
 
-    def test_rotation_round_trip(self):
-        iso = Isometry.rotation(1.1)
-        p = Point(1.0, 2.0, -0.5)
-        q = iso.inverse().apply(iso.apply(p))
-        assert max(abs(a - b) for a, b in zip(p.coords(), q.coords())) < 1e-13
 
-    def test_metric_preserved(self):
+class TestKillingFlow:
+    @staticmethod
+    def sample_points():
+        rng = np.random.default_rng(11)
+        return Point(*rng.uniform(-2, 2, (3, 10)))
+
+    @staticmethod
+    def gap(p, q):
+        return max(np.max(np.abs(a - b)) for a, b in zip(p.coords(), q.coords()))
+
+    @pytest.mark.parametrize("name", SWEEP_FIELDS)
+    def test_group_law(self, name):
+        k, p = SWEEP_FIELDS[name], self.sample_points()
+        u, v = 0.8, -1.9
+        assert self.gap(killing_flow(k, u, killing_flow(k, v, p)),
+                        killing_flow(k, u + v, p)) < 1e-12
+        assert self.gap(killing_flow(k, -u, killing_flow(k, u, p)), p) < 1e-12
+
+    @pytest.mark.parametrize("name", SWEEP_FIELDS)
+    def test_generated_by_its_field(self, name):
+        k, p = SWEEP_FIELDS[name], self.sample_points()
+        h = 1e-5
+        plus, minus = killing_flow(k, h, p), killing_flow(k, -h, p)
+        velocity = killing_eval(k, p).coordinate_velocity()
+        for a, b, v in zip(plus.coords(), minus.coords(), velocity):
+            assert np.max(np.abs((a - b) / (2 * h) - v)) < 1e-8
+
+    @pytest.mark.parametrize("name", SWEEP_FIELDS)
+    def test_metric_preserved(self, name):
+        # the flow is affine in the coordinates, so central differences give
+        # its differential up to round-off
+        k, lam, u, h = SWEEP_FIELDS[name], 2.5, 0.7, 1e-3
         rng = np.random.default_rng(9)
-        lam = 2.5
-        isos = [Isometry.left_translation(Point(1.0, -0.3, 0.8)),
-                Isometry.rotation(0.7),
-                Isometry.composite([Isometry.rotation(-0.4),
-                                    Isometry.left_translation(Point(0, 1, 0))])]
-        for iso in isos:
-            for _ in range(10):
-                p = Point(*rng.uniform(-2, 2, 3))
-                v = FrameVector(p, *rng.uniform(-1, 1, 3))
-                w = FrameVector(p, *rng.uniform(-1, 1, 3))
-                before = metric(lam, v, w)
-                after = metric(lam, iso.push_forward(v), iso.push_forward(w))
-                assert after == pytest.approx(before, abs=1e-12)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Isometry("glide", 1.0)
+        def push(v):
+            p, (vx, vy, vz) = v.base, v.coordinate_velocity()
+            plus = killing_flow(k, u, Point(p.x + h * vx, p.y + h * vy, p.z + h * vz))
+            minus = killing_flow(k, u, Point(p.x - h * vx, p.y - h * vy, p.z - h * vz))
+            q = killing_flow(k, u, p)
+            wx, wy, wz = ((a - b) / (2 * h) for a, b in zip(plus.coords(), minus.coords()))
+            # coordinate basis to frame: d/dx = X + (y/2) Z, d/dy = Y - (x/2) Z
+            return FrameVector(q, wx, wy, wz + 0.5 * q.y * wx - 0.5 * q.x * wy)
+
+        for _ in range(10):
+            p = Point(*rng.uniform(-2, 2, 3))
+            v = FrameVector(p, *rng.uniform(-1, 1, 3))
+            w = FrameVector(p, *rng.uniform(-1, 1, 3))
+            assert metric(lam, push(v), push(w)) == pytest.approx(metric(lam, v, w), abs=1e-10)
+
+    def test_shifted_rotation_rejected(self):
+        with pytest.raises(ValueError, match="shifted axis"):
+            killing_flow(KillingField(a1=1.0, a4=1.0), 0.5, Point(1.0, 2.0, 3.0))

@@ -227,6 +227,12 @@ class TestHelicoid:
         with pytest.raises(ValueError):
             helicoid_curvature(1.0, 0.0, 0.1, 0.1)
 
+    def test_pitch_scale_floor(self):
+        # sqrt(lam)*|pitch| = 5e-9 and 1e-9: refused before any integration
+        for lam, pitch in ((0.25, -1e-8), (1e4, 1e-11)):
+            with pytest.raises(RuntimeError, match="below 1e-08"):
+                solve_helicoid(HelicoidParams(lam, pitch))
+
     def test_rhs_tangent_is_unit(self):
         d = helicoid_rhs(1.0, 1.0, (0.5, -0.3, 1.2))
         assert math.hypot(d[0], d[1]) == pytest.approx(1.0, abs=1e-15)
@@ -298,50 +304,56 @@ class TestPlanarGrimReaper:
 
 
 class TestSweepSurface:
+    @staticmethod
+    def rings(mesh):
+        n_p, n_s = mesh.shape
+        return mesh.vertices.reshape(n_s, n_p, 3)
+
     def test_grim_sweep_points_on_graph(self):
         prof = solve_grim_reaper(GrimReaperParams(1.0, 1.0))
-        mesh = sweep_surface(prof, n_profile=40, n_sweep=11,
-                             sweep_range=(-2.0, 2.0))
-        assert mesh.shape[1] == 11
+        mesh = sweep_surface(prof, sweep_range=(-2.0, 2.0))
+        assert mesh.shape[1] == families.SWEEP_RINGS
         assert not mesh.closed
         # every vertex satisfies z = xy/2 + cx + gamma(y)
         gamma = dict(zip(prof.t, prof.data["gamma"]))
-        for x, y, z in mesh.vertices:
-            g = z - 0.5 * x * y - 1.0 * x
-            assert g == pytest.approx(gamma[y], abs=1e-12)
+        x, y, z = mesh.vertices.T
+        expected = np.array([gamma[v] for v in y])
+        assert np.max(np.abs(z - 0.5 * x * y - 1.0 * x - expected)) <= 1e-12
 
     def test_grim_sweep_matches_group_action(self):
         prof = solve_grim_reaper(GrimReaperParams(1.0, 1.0))
-        mesh = sweep_surface(prof, n_profile=10, n_sweep=5,
-                             sweep_range=(-1.0, 1.0))
-        n_p = mesh.shape[0]
-        # slice j is the image of the u=0 slice under L_{(u,0,cu)}
-        j_mid = 2  # u = 0
-        for i in range(n_p):
-            base = Point(*mesh.vertices[j_mid * n_p + i])
-            for j, u in enumerate(np.linspace(-1.0, 1.0, 5)):
-                moved = group_mul(Point(u, 0.0, u), base)
-                got = mesh.vertices[j * n_p + i]
-                assert got == pytest.approx(
-                    (moved.x, moved.y, moved.z), abs=1e-12)
+        mesh = sweep_surface(prof, sweep_range=(0.0, 1.0))
+        rings = self.rings(mesh)
+        # ring j is the image of the u = 0 ring under L_{(u,0,cu)}
+        for u, ring in zip(np.linspace(0.0, 1.0, mesh.shape[1]), rings):
+            for base, got in zip(rings[0], ring):
+                moved = group_mul(Point(u, 0.0, u), Point(*base))
+                assert got == pytest.approx(moved.coords(), abs=1e-12)
 
     def test_rotation_sweep_closed_and_consistent(self):
         prof = solve_bowl(1.0, 5.0)
-        mesh = sweep_surface(prof, n_profile=30, n_sweep=8)
+        mesh = sweep_surface(prof)
         assert mesh.closed
         n_p, n_s = mesh.shape
         assert len(mesh.faces) == (n_p - 1) * n_s
-        # quarter-turn slice equals the rotation of the first slice
-        j = 2  # angle pi/2 with 8 slices over [0, 2pi)
-        for i in range(n_p):
-            x0, y0, z0 = mesh.vertices[i]
-            got = mesh.vertices[j * n_p + i]
-            assert got == pytest.approx((-y0, x0, z0), abs=1e-12)
+        # the quarter-turn ring equals the rotation of the first ring
+        rings = self.rings(mesh)
+        x0, y0, z0 = rings[0].T
+        got = rings[n_s // 4]
+        assert np.max(np.abs(got - np.column_stack([-y0, x0, z0]))) <= 1e-12
+
+    def test_planar_grim_sweep_is_vertical_translation(self):
+        prof = planar_grim_reaper((1.0, 1.0))
+        mesh = sweep_surface(prof, sweep_range=(0.0, 1.0))
+        rings = self.rings(mesh)
+        # ring j is the u = 0 ring shifted by (0, 0, u_j)
+        for u, ring in zip(np.linspace(0.0, 1.0, mesh.shape[1]), rings):
+            assert np.array_equal(ring[:, :2], rings[0][:, :2])
+            assert np.max(np.abs(ring[:, 2] - (rings[0][:, 2] + u))) <= 1e-15
 
     def test_open_sweep_face_count(self):
         prof = planar_grim_reaper((0.0, 1.0))
-        mesh = sweep_surface(prof, n_profile=25, n_sweep=6,
-                             sweep_range=(-1.0, 1.0))
+        mesh = sweep_surface(prof, sweep_range=(-1.0, 1.0))
         n_p, n_s = mesh.shape
         assert len(mesh.faces) == (n_p - 1) * (n_s - 1)
         assert all(1 <= idx <= len(mesh.vertices)
@@ -349,7 +361,7 @@ class TestSweepSurface:
 
     def test_per_vertex_scalars(self):
         prof = solve_bowl(1.0, 5.0)
-        mesh = sweep_surface(prof, n_profile=20, n_sweep=6)
+        mesh = sweep_surface(prof)
         n_verts = len(mesh.vertices)
         assert set(mesh.scalars) >= {"H", "residual", "K_gauss"}
         for v in mesh.scalars.values():
@@ -359,7 +371,7 @@ class TestSweepSurface:
     @pytest.mark.parametrize("closed", [False, True])
     def test_faces_match_nested_loops(self, closed):
         prof = solve_bowl(1.0, 5.0) if closed else planar_grim_reaper((0.0, 1.0))
-        mesh = sweep_surface(prof, n_profile=9, n_sweep=5)
+        mesh = sweep_surface(prof)
         assert mesh.closed == closed
         n_p, n_s = mesh.shape
         expected = []
@@ -373,18 +385,14 @@ class TestSweepSurface:
 
     def test_helicoidal_sweep(self):
         prof = solve_helicoid(HelicoidParams(1.0, 1.0, 1.0), s_span=5.0)
-        mesh = sweep_surface(prof, n_profile=20, n_sweep=7,
-                             sweep_range=(0.0, 2.0))
-        n_p, _ = mesh.shape
-        # slice at u: e^{iu} gamma with height c*u
-        us = np.linspace(0.0, 2.0, 7)
-        for j, u in enumerate(us):
+        mesh = sweep_surface(prof, sweep_range=(0.0, 2.0))
+        rings = self.rings(mesh)
+        x0, y0, z0 = rings[0].T
+        # ring at u: e^{iu} gamma with height c*u
+        for u, ring in zip(np.linspace(0.0, 2.0, mesh.shape[1]), rings):
             cu, su = math.cos(u), math.sin(u)
-            for i in range(n_p):
-                x0, y0, z0 = mesh.vertices[i]
-                got = mesh.vertices[j * n_p + i]
-                assert got == pytest.approx(
-                    (cu * x0 - su * y0, su * x0 + cu * y0, z0 + u), abs=1e-12)
+            expected = np.column_stack([cu * x0 - su * y0, su * x0 + cu * y0, z0 + u])
+            assert np.max(np.abs(ring - expected)) <= 1e-12
 
 
 class TestSolverCounters:
