@@ -24,9 +24,10 @@ import numpy as np
 
 from .families import (
     ProfileCurve,
-    catenoid_necks,
-    grim_reapers_on_window,
-    solve_bowls,
+    bowls_job,
+    grim_windows_job,
+    necks_job,
+    solve_jobs,
 )
 from .surface import GraphJet, graph_shape, is_characteristic
 
@@ -288,10 +289,16 @@ def limit_grim_reaper(c: float) -> LimitReport:
     and |gamma'|, and the ratio of sup|gamma| to the predicted scale
     log(sqrt(lam))/sqrt(lam).
     """
+    return solve_jobs(limit_grim_reaper_job(c))[0]
+
+
+def limit_grim_reaper_job(c: float):
+    """``limit_grim_reaper`` as a job for ``families.solve_jobs``."""
     lams = GRIM_LIMIT_LAMS
+    windows = yield from grim_windows_job(lams, c, GRIM_LIMIT_WINDOW)
     ys = np.linspace(-GRIM_LIMIT_WINDOW, GRIM_LIMIT_WINDOW, LIMIT_SAMPLES)
     sups, sups_p, ratios = [], [], []
-    for lam, gamma in zip(lams, grim_reapers_on_window(lams, c, GRIM_LIMIT_WINDOW)):
+    for lam, gamma in zip(lams, windows):
         vals = gamma(ys)
         sups.append(float(np.max(np.abs(vals[:, 0]))))
         sups_p.append(float(np.max(np.abs(vals[:, 1]))))
@@ -313,9 +320,15 @@ def limit_grim_reaper(c: float) -> LimitReport:
 def limit_bowl() -> LimitReport:
     """Collapse of the bowl onto the horizontal plane z = 0 on
     r <= ROTATIONAL_LIMIT_WINDOW, per lambda of BOWL_LIMIT_LAMS."""
+    return solve_jobs(limit_bowl_job())[0]
+
+
+def limit_bowl_job():
+    """``limit_bowl`` as a job for ``families.solve_jobs``."""
     lams = BOWL_LIMIT_LAMS
+    bowls = yield from bowls_job(lams, ROTATIONAL_LIMIT_WINDOW, n_samples=400)
     sups, psi_sups, c_fits = [], [], []
-    for lam, prof in zip(lams, solve_bowls(lams, ROTATIONAL_LIMIT_WINDOW, n_samples=400)):
+    for lam, prof in zip(lams, bowls):
         sups.append(float(np.max(np.abs(prof.data["phi"]))))
         psi_sup = float(np.max(np.abs(prof.data["psi"])))
         psi_sups.append(psi_sup)
@@ -331,12 +344,17 @@ def limit_catenoid(f0: float) -> LimitReport:
     """Collapse of the neck profiles onto f~(z) = sqrt(4z^2 + f0^4)/f0 on
     |z| <= ROTATIONAL_LIMIT_WINDOW, per lambda of CATENOID_LIMIT_LAMS, for
     f0 up to CATENOID_LIMIT_MAX_F0."""
+    return solve_jobs(limit_catenoid_job(f0))[0]
+
+
+def limit_catenoid_job(f0: float):
+    """``limit_catenoid`` as a job for ``families.solve_jobs``; it rejects
+    f0 before its request."""
     lams = CATENOID_LIMIT_LAMS
     k = ROTATIONAL_LIMIT_WINDOW
     if f0 > CATENOID_LIMIT_MAX_F0:
         raise ValueError(f"f0 must be at most {CATENOID_LIMIT_MAX_F0:g} (here {f0})")
-    # the necks check f0, so the target is formed from a valid f0 only
-    necks = catenoid_necks(lams, f0, k)
+    necks = yield from necks_job(lams, f0, k)
     zs = np.linspace(-k, k, LIMIT_SAMPLES)
     target = catenoid_limit_profile(f0, zs)[0]
     sups = []

@@ -141,9 +141,10 @@ def _run_family(args) -> int:
 
 
 def _run_limits(args) -> int:
-    grim = asym.limit_grim_reaper(args.c)
-    bowl = asym.limit_bowl()
-    cat = asym.limit_catenoid(args.f0)
+    # one joint solve: every job checks its parameters before any solve
+    grim, bowl, cat = fam.solve_jobs(asym.limit_grim_reaper_job(args.c),
+                                     asym.limit_bowl_job(),
+                                     asym.limit_catenoid_job(args.f0))
     report = {}
     for rep in (grim, bowl, cat):
         report[rep.family] = {

@@ -22,6 +22,14 @@ translator residual and curvatures recomputed through the surface kernel,
 so the ODE solutions are cross-checked against the geometry.  The jet
 builders accept arrays of samples, so each profile is shaped by one kernel
 call per piece.
+
+Each solver of a list of curves is written as a job (``*_job``): a
+generator that yields the ``Lanes`` it needs integrated and builds its
+profiles from the trajectories it is sent back.  ``solve_jobs`` runs any
+number of jobs with one ``ode.solve_ivp`` call per right-hand side, so a
+verify run integrates all its grim reapers, necks, helicoids and
+rotational arms in four calls; each ``solve_*`` function is its job run
+alone.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -171,12 +180,19 @@ def solve_grim_reapers(params, rtol: float = ode.DEFAULT_RTOL,
                        derived: bool = True) -> list:
     """``solve_grim_reaper`` for each of ``params``; both directions of all
     curves are integrated as the lanes of one ``ode.solve_ivp`` call."""
+    return solve_jobs(grim_reapers_job(params, rtol, atol, derived))[0]
+
+
+def grim_reapers_job(params, rtol: float = ode.DEFAULT_RTOL,
+                     atol: float = ode.DEFAULT_ATOL, derived: bool = True):
+    """``solve_grim_reapers`` as a job for ``solve_jobs``."""
     params = list(params)
     slabs = [slab(p.lam, p.c) for p in params]
-    pairs = _both_ways(_grim_lanes,
-                       [(0.0, sl.a_endpoint - 0.2 * sl.width, (0.0, 0.0)) for sl in slabs],
-                       [(0.0, sl.b_endpoint + 0.2 * sl.width, (0.0, 0.0)) for sl in slabs],
-                       ([p.lam for p in params], [p.c for p in params]), rtol, atol)
+    pairs = yield from _both_ways(
+        _grim_lanes,
+        [(0.0, sl.a_endpoint - 0.2 * sl.width, (0.0, 0.0)) for sl in slabs],
+        [(0.0, sl.b_endpoint + 0.2 * sl.width, (0.0, 0.0)) for sl in slabs],
+        ([p.lam for p in params], [p.c for p in params]), rtol, atol)
     return [_grim_profile(p, sl, down, up, derived)
             for p, sl, (down, up) in zip(params, slabs, pairs)]
 
@@ -199,18 +215,16 @@ def _grim_profile(params, sl, down, up, derived) -> ProfileCurve:
 
 
 def _both_ways(rhs, down, up, args, rtol: float = ode.DEFAULT_RTOL,
-               atol: float = ode.DEFAULT_ATOL) -> list:
-    """Integrate each curve from its seed in both directions.
+               atol: float = ode.DEFAULT_ATOL):
+    """Integrate each curve from its seed in both directions (a job step).
 
     ``down`` and ``up`` give each curve's two halves as ``(t0, t1, y0)``, and
-    ``args`` holds one value sequence per curve.  All halves are the lanes of
-    one ``ode.solve_ivp`` call, (up, down) per curve; the result is one
-    ``(down, up)`` trajectory pair per curve.
+    ``args`` holds one value sequence per curve.  All halves are asked for
+    as one ``Lanes``, (up, down) per curve; the result is one ``(down, up)``
+    trajectory pair per curve.
     """
-    lanes = [half for pair in zip(up, down) for half in pair]
-    trajs = ode.solve_ivp(rhs, ([t0 for t0, _, _ in lanes], [t1 for _, t1, _ in lanes]),
-                          [y0 for _, _, y0 in lanes], args=tuple(np.repeat(a, 2) for a in args),
-                          rtol=rtol, atol=atol).trajectories
+    problems = [half for pair in zip(up, down) for half in pair]
+    trajs = yield Lanes(rhs, problems, tuple(np.repeat(a, 2) for a in args), rtol, atol)
     return [(trajs[i + 1], trajs[i]) for i in range(0, len(trajs), 2)]
 
 
@@ -262,13 +276,19 @@ def grim_reapers_on_window(lams, c: float, y_max: float) -> list:
     The window must sit in every slab.  Both halves of every window are
     integrated as the lanes of one ``ode.solve_ivp`` call.
     """
+    return solve_jobs(grim_windows_job(lams, c, y_max))[0]
+
+
+def grim_windows_job(lams, c: float, y_max: float):
+    """``grim_reapers_on_window`` as a job for ``solve_jobs``."""
     for lam in lams:
         params = GrimReaperParams(lam, c)
         sl = slab(params.lam, params.c)
         if not (sl.a_endpoint < -y_max and y_max < sl.b_endpoint):
             raise ValueError("window exceeds the slab of definition")
-    pairs = _both_ways(_grim_lanes, [(0.0, -y_max, (0.0, 0.0))] * len(lams),
-                       [(0.0, y_max, (0.0, 0.0))] * len(lams), (lams, [c] * len(lams)))
+    pairs = yield from _both_ways(_grim_lanes, [(0.0, -y_max, (0.0, 0.0))] * len(lams),
+                                  [(0.0, y_max, (0.0, 0.0))] * len(lams),
+                                  (lams, [c] * len(lams)))
     return [_joined(down, up) for down, up in pairs]
 
 
@@ -317,12 +337,17 @@ def solve_bowl(lam: float, r_max: float, n_samples: int = 1500,
 def solve_bowls(lams, r_max: float, n_samples: int = 1500) -> list:
     """``solve_bowl`` for each of ``lams``; the bowls are integrated as the
     lanes of one ``ode.solve_ivp`` call."""
+    return solve_jobs(bowls_job(lams, r_max, n_samples))[0]
+
+
+def bowls_job(lams, r_max: float, n_samples: int = 1500):
+    """``solve_bowls`` as a job for ``solve_jobs``."""
     starts = [ode.series_start("bowl-origin", lam) for lam in lams]
     deltas = [delta for delta, _ in starts]
     if not all(r_max > delta for delta in deltas):
         raise ValueError(f"r_max must exceed the series start r = {max(deltas):g}")
-    trajs = ode.solve_ivp(_rotational_lanes, (deltas, [r_max] * len(deltas)),
-                          [y0 for _, y0 in starts], args=(np.array(lams),)).trajectories
+    trajs = yield Lanes(_rotational_lanes, [(delta, r_max, y0) for delta, y0 in starts],
+                        (np.array(lams),))
     return [_bowl_profile(lam, r_max, n_samples, traj) for lam, traj in zip(lams, trajs)]
 
 
@@ -360,11 +385,17 @@ def catenoid_necks(lams, f0: float, z_max: float,
     callable z -> (f, f') and the (down, up) trajectories; the halves below
     and above every apex are integrated as the lanes of one ``ode.solve_ivp``
     call, and the callable reads ``_apex_taylor`` between them."""
+    return solve_jobs(necks_job(lams, f0, z_max, rtol, atol))[0]
+
+
+def necks_job(lams, f0: float, z_max: float, rtol: float = ode.DEFAULT_RTOL,
+              atol: float = ode.DEFAULT_ATOL):
+    """``catenoid_necks`` as a job for ``solve_jobs``."""
     starts = [ode.series_start("catenoid-apex", lam, f0=f0) for lam in lams]
-    pairs = _both_ways(_neck_lanes,
-                       [(-delta, -z_max, (f, -fp)) for delta, (f, fp) in starts],
-                       [(delta, z_max, (f, fp)) for delta, (f, fp) in starts],
-                       (lams,), rtol, atol)
+    pairs = yield from _both_ways(_neck_lanes,
+                                  [(-delta, -z_max, (f, -fp)) for delta, (f, fp) in starts],
+                                  [(delta, z_max, (f, fp)) for delta, (f, fp) in starts],
+                                  (lams,), rtol, atol)
     return [(_joined(down, up, partial(_apex_taylor, lam, f0)), (down, up))
             for lam, (down, up) in zip(lams, pairs)]
 
@@ -407,6 +438,12 @@ def choose_gluing_offset(lam: float, f0: float,
     tolerances.
     """
     f, _ = catenoid_necks([lam], f0, 2.0 * GLUING_EPS_CAP, rtol=rtol, atol=atol)[0]
+    return _gluing_offset(lam, f), f
+
+
+def _gluing_offset(lam, f):
+    """``choose_gluing_offset``'s eps, from the neck ``f`` on
+    [-2 GLUING_EPS_CAP, 2 GLUING_EPS_CAP]."""
     zs = np.linspace(1e-3, 2.0 * GLUING_EPS_CAP, 400)
     vals = f(zs)
     fpp = catenoid_neck_rhs(lam, vals[:, 0], vals[:, 1])
@@ -415,7 +452,7 @@ def choose_gluing_offset(lam: float, f0: float,
         raise RuntimeError("neck solution is not convex near the apex")
     bad = np.nonzero(~good)[0]
     z_ok = zs[-1] if len(bad) == 0 else zs[bad[0] - 1]
-    return min(GLUING_EPS_CAP, 0.5 * z_ok), f
+    return min(GLUING_EPS_CAP, 0.5 * z_ok)
 
 
 def solve_catenoid(lam: float, f0: float, r_max: float = 200.0,
@@ -428,7 +465,15 @@ def solve_catenoid(lam: float, f0: float, r_max: float = 200.0,
     with matching conditions phi(c0) = +-eps, phi'(c0) = 1/c1 where
     c0 = f(+-eps), c1 = f'(+-eps).
     """
-    eps, f = choose_gluing_offset(lam, f0, rtol=rtol, atol=atol)
+    return solve_jobs(catenoid_job(lam, f0, r_max, rtol, atol))[0]
+
+
+def catenoid_job(lam: float, f0: float, r_max: float = 200.0,
+                 rtol: float = ode.DEFAULT_RTOL, atol: float = ode.DEFAULT_ATOL):
+    """``solve_catenoid`` as a job for ``solve_jobs``: it asks for the neck
+    first and for the arms once the neck has fixed their junctions."""
+    [(f, _)] = yield from necks_job([lam], f0, 2.0 * GLUING_EPS_CAP, rtol, atol)
+    eps = _gluing_offset(lam, f)
     c0p, c1p = f(eps)
     c0m, c1m = f(-eps)
     if c1p == 0.0 or c1m == 0.0:
@@ -438,8 +483,9 @@ def solve_catenoid(lam: float, f0: float, r_max: float = 200.0,
                          f"{max(c0p, c0m):.6g} of the neck")
 
     # the lower and upper arm, out from their junctions
-    [(arm_m, arm_p)] = _both_ways(_rotational_lanes, [(c0m, r_max, (-eps, 1.0 / c1m))],
-                                  [(c0p, r_max, (eps, 1.0 / c1p))], ([lam],), rtol, atol)
+    [(arm_m, arm_p)] = yield from _both_ways(
+        _rotational_lanes, [(c0m, r_max, (-eps, 1.0 / c1m))],
+        [(c0p, r_max, (eps, 1.0 / c1p))], ([lam],), rtol, atol)
 
     # sample the curve in order: lower arm from large r down, neck bottom to
     # top, upper arm up; the two arms share one graph kernel call
@@ -576,6 +622,18 @@ def solve_helicoids(params, s_span: float = 50.0, n_samples: int = 4001,
                     atol: float = ode.DEFAULT_ATOL) -> list:
     """``solve_helicoid`` for each of ``params``; both arms of all curves are
     integrated as the lanes of one ``ode.solve_ivp`` call."""
+    return solve_jobs(helicoids_job(params, s_span, n_samples, rtol, atol))[0]
+
+
+def helicoids_job(params, s_span: float = 50.0, n_samples: int = 4001,
+                  rtol: float = ode.DEFAULT_RTOL, atol: float = ode.DEFAULT_ATOL):
+    """``solve_helicoids`` as a job for ``solve_jobs``.
+
+    Before the solve, the patch jets at the seeds go through one
+    ``patch_shape`` call per lambda, which raises ``RuntimeError`` on a
+    degenerate tangent basis there, as the sampled profile would after the
+    solve.
+    """
     if not 0 < s_span <= MAX_HELICOID_SPAN:
         raise ValueError(f"s_span must lie in (0, {MAX_HELICOID_SPAN:g}]")
     params = list(params)
@@ -585,9 +643,13 @@ def solve_helicoids(params, s_span: float = 50.0, n_samples: int = 4001,
             raise RuntimeError(f"sqrt(lambda)*|pitch| = {scale:g} is below "
                                f"{MIN_HELICOID_SCALE:g}: the curvature is unresolvable")
     seeds = [(p.r0, 0.0, 0.5 * math.pi) for p in params]
-    pairs = _both_ways(_helicoid_lanes, [(0.0, -s_span, y0) for y0 in seeds],
-                       [(0.0, s_span, y0) for y0 in seeds],
-                       ([p.lam for p in params], [p.pitch for p in params]), rtol, atol)
+    lams, pitches = np.array([p.lam for p in params]), np.array([p.pitch for p in params])
+    for lam in np.unique(lams):
+        sel = lams == lam
+        patch_shape(lam, helicoid_patch_jet(lam, pitches[sel], *np.array(seeds)[sel].T))
+    pairs = yield from _both_ways(_helicoid_lanes, [(0.0, -s_span, y0) for y0 in seeds],
+                                  [(0.0, s_span, y0) for y0 in seeds],
+                                  (lams, pitches), rtol, atol)
     return [_helicoid_profile(p, s_span, n_samples, down, up)
             for p, (down, up) in zip(params, pairs)]
 
@@ -623,6 +685,75 @@ def helicoid_kprime_numerator(lam: float, c: float, tau: float, nu: float) -> fl
 
 
 # ---------------------------------------------------------------------------
+# joint solves
+
+
+class Lanes(NamedTuple):
+    """Initial value problems of one right-hand side that a job asks for:
+    ``(t0, t1, y0)`` per lane, one per-lane value sequence per extra
+    argument of ``rhs``, and the tolerances of these lanes."""
+
+    rhs: Callable
+    problems: list
+    args: tuple
+    rtol: float = ode.DEFAULT_RTOL
+    atol: float = ode.DEFAULT_ATOL
+
+
+# the order in which each pass of ``solve_jobs`` takes the right-hand sides:
+# the catenoid arms (rotational) start at the junctions of its neck
+_RHS_ORDER = (_grim_lanes, _neck_lanes, _helicoid_lanes, _rotational_lanes)
+
+
+def solve_jobs(*jobs) -> list:
+    """Run the jobs to their results; returns one result per job.
+
+    A job is a generator that yields ``Lanes`` and is sent back their
+    trajectories, in lane order, until it returns its result.  Every job
+    runs up to its first request before anything is integrated, so a job
+    that rejects its parameters does so before any solve.  A pass takes the
+    right-hand sides in ``_RHS_ORDER`` and integrates the lanes that the
+    waiting jobs ask of one right-hand side as one ``ode.solve_ivp`` call,
+    each lane at its own tolerances; a request made during a pass joins the
+    call of its right-hand side if that call is still to come.  A lane's
+    result does not depend on the call it runs in.
+    """
+    results = [None] * len(jobs)
+    waiting = {}
+
+    def resume(i, trajs=None):
+        try:
+            lanes = jobs[i].send(trajs)
+        except StopIteration as done:
+            results[i] = done.value
+            return
+        if lanes.rhs not in _RHS_ORDER:
+            raise ValueError(f"no joint solve for the right-hand side {lanes.rhs!r}")
+        waiting[i] = lanes
+
+    for i in range(len(jobs)):
+        resume(i)
+    while waiting:
+        for rhs in _RHS_ORDER:
+            batch = [i for i, lanes in waiting.items() if lanes.rhs is rhs]
+            if not batch:
+                continue
+            requests = [waiting.pop(i) for i in batch]
+            problems = [p for lanes in requests for p in lanes.problems]
+            counts = [len(lanes.problems) for lanes in requests]
+            trajs = ode.solve_ivp(
+                rhs, ([t0 for t0, _, _ in problems], [t1 for _, t1, _ in problems]),
+                [y0 for _, _, y0 in problems],
+                args=tuple(np.concatenate(a) for a in zip(*(lanes.args for lanes in requests))),
+                rtol=np.repeat([lanes.rtol for lanes in requests], counts),
+                atol=np.repeat([lanes.atol for lanes in requests], counts)).trajectories
+            ends = np.cumsum(counts)
+            for i, end, n in zip(batch, ends, counts):
+                resume(i, trajs[end - n:end])
+    return results
+
+
+# ---------------------------------------------------------------------------
 # planar Euclidean grim reaper (vertical-cylinder translator)
 
 
@@ -652,10 +783,12 @@ def planar_grim_reaper(direction) -> ProfileCurve:
     k = speed * np.cos(speed * xs)  # curvature h''/(1+h'^2)^{3/2} in closed form
     nu2 = np.cos(speed * xs)  # second component of the unit normal (-h',1)/w
     residual = k - speed * nu2
-    # rotate so that (0, 1) maps to direction/|direction|
+    # rotate so that (0, 1) maps to direction/|direction|; the apex has
+    # h = -log(1) = -0.0, and adding 0.0 writes a zero coordinate as 0,
+    # not -0
     u1, u2 = a1 / speed, a2 / speed
-    px = u2 * xs - u1 * h
-    py = u1 * xs + u2 * h
+    px = u2 * xs + u1 * h + 0.0
+    py = u2 * h - u1 * xs + 0.0
     cols = {
         "x": xs, "y": np.asarray(h),
         "px": px, "py": py,

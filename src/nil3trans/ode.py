@@ -282,14 +282,17 @@ class OdeProblem:
 
 
 def _check_data(t0, t1, y0, rtol, atol):
-    if not (np.all(np.isfinite(t0)) and np.all(np.isfinite(t1))
-            and np.all(np.isfinite(y0)) and math.isfinite(rtol) and math.isfinite(atol)):
+    """Reject non-finite data, a zero-length span and tolerances out of
+    range; the tolerances may be scalars or per-lane arrays."""
+    if not all(np.all(np.isfinite(v)) for v in (t0, t1, y0, rtol, atol)):
         raise ValueError("integration span, initial state and tolerances must be finite")
     if np.any(np.asarray(t0) == np.asarray(t1)):
         raise ValueError("degenerate integration span")
-    if not 0.0 < rtol < 1.0:
-        raise ValueError(f"rtol must lie in (0, 1), got {rtol:g}")
-    if atol <= 0:
+    rtol = np.asarray(rtol)
+    bad = rtol[~((rtol > 0.0) & (rtol < 1.0))]
+    if bad.size:
+        raise ValueError(f"rtol must lie in (0, 1), got {bad.flat[0]:g}")
+    if np.any(np.asarray(atol) <= 0):
         raise ValueError("atol must be positive")
 
 
@@ -454,16 +457,16 @@ def _initial_step(rhs, args, t0, y0, f0, t_bound, direction, rtol, atol):
     return np.minimum(np.minimum(100 * h0, h1), interval)
 
 
-def solve_ivp(rhs, t_span, y0, args=(), rtol: float = DEFAULT_RTOL,
-              atol: float = DEFAULT_ATOL,
+def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
               blow_up_threshold: float = BLOW_UP_THRESHOLD) -> Solution:
     """Integrate L independent lanes y' = rhs(t, y, *args) with DOP853.
 
     ``y0`` has shape (L, n), ``t_span`` is a pair of length-L arrays (start
-    and end of each lane) and ``args`` are length-L parameter arrays.  The
-    right-hand side is called with ``t`` of shape (L_active,) and ``y`` of
-    shape (n, L_active) and returns the n components of y'; lanes that
-    finish drop out, and their ``args`` with them.
+    and end of each lane) and ``args`` are length-L parameter arrays;
+    ``rtol`` and ``atol`` are scalars or length-L arrays.  The right-hand
+    side is called with ``t`` of shape (L_active,) and ``y`` of shape
+    (n, L_active) and returns the n components of y'; lanes that finish
+    drop out, and their ``args`` and tolerances with them.
 
     A lane ends at its span end (``span_end``), once the sup-norm of its
     state reaches ``blow_up_threshold`` (``blow_up``; the crossing is
@@ -478,9 +481,11 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol: float = DEFAULT_RTOL,
         raise ValueError("no lanes to integrate")
     y = np.array(y0, dtype=float).reshape(len(t), -1).T.copy()
     n, n_lanes = y.shape
+    rtol, atol = (np.broadcast_to(np.asarray(tol, dtype=float), (n_lanes,))
+                  for tol in (rtol, atol))
     _check_data(t, t_bound, y, rtol, atol)
     args = tuple(np.asarray(a) for a in args)
-    rtol = max(rtol / RTOL_SAFETY, RTOL_FLOOR)
+    rtol = np.maximum(rtol / RTOL_SAFETY, RTOL_FLOOR)
 
     f = _eval(rhs, t, y, args)
     if not np.all(np.isfinite(f)):
@@ -503,11 +508,13 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol: float = DEFAULT_RTOL,
     iteration = 0
 
     def drop(keep, n_attempts):
-        nonlocal t, y, ay, f, h_abs, rejected, armed, lanes, direction, toward, t_bound, args
+        nonlocal t, y, ay, f, h_abs, rejected, armed, lanes, direction, toward, t_bound, \
+            rtol, atol, args
         attempts[lanes[~keep]] = n_attempts
-        t, y, ay, f, h_abs, rejected, armed, lanes, direction, toward, t_bound = (
+        t, y, ay, f, h_abs, rejected, armed, lanes, direction, toward, t_bound, rtol, atol = (
             t[keep], y[:, keep], ay[:, keep], f[:, keep], h_abs[keep], rejected[keep],
-            armed[keep], lanes[keep], direction[keep], toward[keep], t_bound[keep])
+            armed[keep], lanes[keep], direction[keep], toward[keep], t_bound[keep],
+            rtol[keep], atol[keep])
         args = tuple(a[keep] for a in args)
 
     while len(lanes):
@@ -584,15 +591,22 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol: float = DEFAULT_RTOL,
 
 
 def _assemble(rhs, start, steps, status, stops, attempts) -> Solution:
-    """Sort the accepted steps of all iterations into one trajectory per lane."""
+    """Sort the accepted steps of all iterations into one trajectory per lane.
+
+    ``steps`` is emptied once its columns are joined, and each lane then
+    takes copies of its steps, so a call holds at most two copies of its
+    steps, and the memory of a lane is freed with its trajectory, whatever
+    the other lanes of its call.
+    """
     t_start, y_start, f_start, args = start
     n_lanes = len(t_start)
     bounds = np.zeros(n_lanes + 1, dtype=int)
     if steps:
         lane_of = np.concatenate([s[0] for s in steps])
         order = np.argsort(lane_of, kind="stable")
-        cols = [np.concatenate([s[k] for s in steps], axis=-1)[..., order]
+        cols = [np.concatenate([s[k] for s in steps], axis=-1)
                 for k in range(1, len(steps[0]))]
+        steps.clear()
         bounds[1:] = np.cumsum(np.bincount(lane_of, minlength=n_lanes))
     trajs = []
     for lane in range(n_lanes):
@@ -600,7 +614,7 @@ def _assemble(rhs, start, steps, status, stops, attempts) -> Solution:
         t, y, f = t_start[lane:lane + 1], y_start[:, lane:lane + 1], f_start[:, lane:lane + 1]
         build = None
         if hi > lo:
-            t_new, y_new, h, f_new, acc = (c[..., lo:hi] for c in cols)
+            t_new, y_new, h, f_new, acc = (c[..., order[lo:hi]] for c in cols)
             build = partial(_dense_output, rhs, tuple(np.full(hi - lo, a[lane]) for a in args),
                             np.concatenate([t, t_new[:-1]]), h,
                             np.hstack([y, y_new[:, :-1]]), np.hstack([f, f_new[:, :-1]]),

@@ -6,12 +6,18 @@ structure), ``asymptotics`` (tail and endpoint fits, the radial linear ODE
 oracle), ``limits`` (large-lambda collapse), ``all``.  Reports are plain
 dicts, deterministic for fixed inputs, and serializable by
 ``exports.report_text``.
+
+A run first solves every profile its suites read, each once, in one
+``families.solve_jobs`` call (one ``ode.solve_ivp`` call per right-hand
+side), and then runs the checks on them.  The two largest grids, the grim
+reapers at tight tolerances and the helicoids, are checked inside the joint
+solve, as soon as their call returns, so that their profiles are not all
+held at once.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +40,15 @@ from .surface import GraphJet, gaussian_curvature, graph_shape, intrinsic_curvat
 
 SUITES = ("core", "asymptotics", "limits", "all")
 
+# (lam, c) of the tight-tolerance grim reaper checks
+_GRIM_GRID = [(lam, c) for lam in (0.5, 1.0, 4.0) for c in (0.0, 1.0, 2.0)]
+
 # lambdas of the rotational tail fits; lam = 1 is also the bowl of the core
 # suite
 _BOWL_TAIL_LAMS = (1.0, 2.0, 4.0, 9.0, 16.0)
+
+# lambdas of the bowl axis-regularity check
+_BOWL_AXIS_LAMS = (0.5, 1.0, 4.0)
 
 # (lam, c, r0) of the helicoid checks; (1, 1, 1) is also the residual check's
 _HELICOID_GRID = [(lam, c, r0) for lam in (1.0, 4.0) for c in (0.5, 1.0, 2.0)
@@ -65,46 +77,6 @@ def _check(name, anchor, expected, computed, tolerance, kind="abs"):
         "kind": kind,
         "passed": bool(passed),
     }
-
-
-class _SharedProfiles:
-    """The representative profiles that checks in more than one place solve
-    with identical arguments, each solved on first use, and solved together
-    with the profiles of one right-hand side that they share a call with.
-    One instance serves one ``run_suite`` call, so a later call solves them
-    afresh."""
-
-    @cached_property
-    def _grims(self):
-        return fam.solve_grim_reapers([fam.GrimReaperParams(1.0, 0.0),
-                                       fam.GrimReaperParams(1.0, 1.0)])
-
-    @property
-    def grim_1_0(self):
-        return self._grims[0]
-
-    @property
-    def grim_1_1(self):
-        return self._grims[1]
-
-    @cached_property
-    def bowls_200(self):
-        """Bowls to r = 200, one per entry of _BOWL_TAIL_LAMS.  A core-only
-        run reads just the lam = 1 bowl; the tail bowls ride in its call."""
-        return fam.solve_bowls(_BOWL_TAIL_LAMS, 200.0)
-
-    @property
-    def bowl_1_200(self):
-        return self.bowls_200[0]
-
-    @cached_property
-    def catenoid_1_1(self):
-        return fam.solve_catenoid(1.0, 1.0)
-
-    @cached_property
-    def helicoid_grid(self):
-        """The helicoid checks' grid, one profile per entry of _HELICOID_GRID."""
-        return fam.solve_helicoids([fam.HelicoidParams(*g) for g in _HELICOID_GRID])
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +157,15 @@ def _core_kernel_checks():
     return checks
 
 
-def _grim_grid_checks():
+def _grim_grid_job():
+    """Solve the grim reapers of ``_GRIM_GRID`` (a job for
+    ``families.solve_jobs``) and return their checks."""
+    profiles = yield from fam.grim_reapers_job(
+        [fam.GrimReaperParams(*pc) for pc in _GRIM_GRID],
+        # tight tolerances: the closed-form comparison is at the 1e-8
+        # absolute level while gamma' reaches ~10^3 inside the central window
+        rtol=1e-13, atol=1e-15, derived=False)
     checks = []
-    grid = [(lam, c) for lam in (0.5, 1.0, 4.0) for c in (0.0, 1.0, 2.0)]
-    # tight tolerances: the closed-form comparison is at the 1e-8 absolute
-    # level while gamma' reaches ~10^3 inside the central window
-    profiles = fam.solve_grim_reapers([fam.GrimReaperParams(*pc) for pc in grid],
-                                      rtol=1e-13, atol=1e-15, derived=False)
-
     width = fam.slab(1.0, 0.0).width
     checks.append(_check("slab-width-(1,0)", "Thm 1.1(2) slab width",
                          2.0 * math.sinh(0.5 * math.pi), width, 1e-10))
@@ -200,7 +173,7 @@ def _grim_grid_checks():
                          4.60260, width, 1e-5))
 
     sup_cf, sup_end, sup_width = 0.0, 0.0, 0.0
-    for (lam, c), prof in zip(grid, profiles):
+    for (lam, c), prof in zip(_GRIM_GRID, profiles):
         sl = prof.diagnostics["slab"]
         # compare at the accepted solver steps inside the central 90%
         lo = sl.a_endpoint + 0.05 * sl.width
@@ -223,7 +196,7 @@ def _grim_grid_checks():
                          0.0, sup_width, 1e-10))
 
     # monotonicity y*gamma'(y) > 0 and global minimum at y = 0
-    prof = profiles[grid.index((1.0, 0.0))]
+    prof = profiles[_GRIM_GRID.index((1.0, 0.0))]
     ys = prof.t
     gp = prof.data["gamma_prime"]
     mono = float(np.all((ys * gp)[np.abs(ys) > 1e-12] > 0))
@@ -278,13 +251,13 @@ def _curvature_checks(grim10):
     return checks
 
 
-def _residual_checks(shared):
+def _residual_checks(results):
     checks = []
     reps = {
-        "grim": shared.grim_1_1,
-        "bowl": shared.bowl_1_200,
-        "catenoid": shared.catenoid_1_1,
-        "helicoid": shared.helicoid_grid[_HELICOID_GRID.index((1.0, 1.0, 1.0))],
+        "grim": results["grims"][1],
+        "bowl": results["bowls"][0],
+        "catenoid": results["catenoid"],
+        "helicoid": results["helicoids"][1],
     }
     for name, prof in reps.items():
         checks.append(_check(f"residual-{name}",
@@ -318,47 +291,46 @@ def _residual_checks(shared):
     return checks
 
 
+# rows of the orientation signs computed at once: 16 rows of the 801
+# decimated catenoid points keep each float temporary near 0.1 MB
+_ORIENT_ROWS = 16
+
+
 def _polyline_embedded(cat) -> bool:
     """True when no two non-adjacent segments of the (r, z) profile
-    polyline cross."""
-    r = cat.data["r"]
-    z = cat.data["z"]
-    p = np.column_stack([r, z])
+    polyline cross.
+
+    Touching and collinear contacts (an orientation within 1e-15 of zero)
+    do not count as crossings.  On a decimated copy q of the polyline, let
+    S[i, k] be the orientation sign of (q_i, q_(i+1), q_k); segment j
+    straddles segment i when S[i, j] and S[i, j+1] are nonzero and differ,
+    and two segments cross when each straddles the other.  Adjacent
+    segments never do: S[i, i] and S[i, i+1] are exactly 0.
+    """
+    p = np.column_stack([cat.data["r"], cat.data["z"]])
     n = len(p) - 1
     # O(n^2) on a decimated copy is plenty at these sizes
     step = max(1, n // 800)
     q = p[::step]
     if not np.array_equal(q[-1], p[-1]):
         q = np.vstack([q, p[-1]])
-    # segment i against every non-adjacent later segment j > i + 1 at once
-    starts, ends = q[:-1], q[1:]
-    for i in range(len(starts) - 2):
-        if np.any(_segments_cross(starts[i], ends[i], starts[i + 2:], ends[i + 2:])):
-            return False
-    return True
+    m = len(q) - 1
+    straddles = np.empty((m, m), dtype=bool)
+    for lo in range(0, m, _ORIENT_ROWS):
+        hi = min(lo + _ORIENT_ROWS, m)
+        a, b = q[lo:hi, None], q[lo + 1:hi + 1, None]
+        v = (b[..., 0] - a[..., 0]) * (q[:, 1] - a[..., 1]) \
+            - (b[..., 1] - a[..., 1]) * (q[:, 0] - a[..., 0])
+        sign = (v >= 1e-15).view(np.int8) - (v <= -1e-15).view(np.int8)
+        straddles[lo:hi] = sign[:, :-1] * sign[:, 1:] < 0
+    return not any(np.any(straddles[lo:lo + _ORIENT_ROWS] & straddles[:, lo:lo + _ORIENT_ROWS].T)
+                   for lo in range(0, m, _ORIENT_ROWS))
 
 
-def _segments_cross(a, b, c, d):
-    """Proper crossing of segment ab with each segment cd (rows of c, d).
-
-    Touching and collinear contacts (an orientation within 1e-15 of zero)
-    do not count as crossings.
-    """
-    def orient(p, q, r):
-        v = (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) \
-            - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0])
-        return np.where(np.abs(v) < 1e-15, 0, np.where(v > 0, 1, -1))
-
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    return (o1 != o2) & (o3 != o4) & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0)
-
-
-def _bowl_checks(prof):
+def _bowl_checks(prof, axis_bowls):
     checks = []
     sup_origin = 0.0
-    lams = (0.5, 1.0, 4.0)
-    for lam, bowl in zip(lams, fam.solve_bowls(lams, 1.0, n_samples=50)):
+    for lam, bowl in zip(_BOWL_AXIS_LAMS, axis_bowls):
         psi = bowl.trajectories[0](1e-3)[1]
         sup_origin = max(sup_origin, abs(psi / 1e-3 - 1.0 / (2.0 * math.sqrt(lam))))
     checks.append(_check("bowl-axis-regularity",
@@ -387,7 +359,11 @@ def _bowl_checks(prof):
     return checks
 
 
-def _helicoid_checks(profs):
+def _helicoid_job():
+    """Solve the helicoids of ``_HELICOID_GRID`` (a job for
+    ``families.solve_jobs``); returns their checks and the helicoid
+    (1, 1, 1) of the residual check."""
+    profs = yield from fam.helicoids_job([fam.HelicoidParams(*g) for g in _HELICOID_GRID])
     checks = []
     fails = {"r2-min": 0, "tau-zero": 0, "nu-zeros": 0, "winding": 0,
              "k-decay": 0, "kprime-sign": 0}
@@ -438,16 +414,18 @@ def _helicoid_checks(profs):
     }
     for key, cnt in fails.items():
         checks.append(_check(f"helicoid-{key}", anchors[key], 0.0, cnt, 0.0))
-    return checks
+    return checks, profs[_HELICOID_GRID.index((1.0, 1.0, 1.0))]
 
 
-def core_suite(shared):
+def core_suite(results):
+    """The core checks; ``results`` holds the job results of
+    ``SUITE_JOBS["core"]``."""
     checks = _core_kernel_checks()
-    checks += _grim_grid_checks()
-    checks += _curvature_checks(shared.grim_1_0)
-    checks += _residual_checks(shared)
-    checks += _bowl_checks(shared.bowl_1_200)
-    checks += _helicoid_checks(shared.helicoid_grid)
+    checks += results["grim_grid"]
+    checks += _curvature_checks(results["grims"][0])
+    checks += _residual_checks(results)
+    checks += _bowl_checks(results["bowls"][0], results["axis_bowls"])
+    checks += results["helicoids"][0]
     return checks
 
 
@@ -455,12 +433,14 @@ def core_suite(shared):
 # asymptotics suite
 
 
-def asymptotics_suite(shared):
+def asymptotics_suite(results):
+    """The asymptotics checks; ``results`` holds the job results of
+    ``SUITE_JOBS["asymptotics"]``."""
     checks = []
     tol = {1.0: 0.03, 2.0: 0.03, 4.0: 0.05, 9.0: 0.03, 16.0: 0.03}
-    # the fit reads the trajectory only, so the sample count of the shared
-    # bowls does not enter
-    for lam, arm in zip(_BOWL_TAIL_LAMS, shared.bowls_200):
+    # the fit reads the trajectory only, so the sample count of the bowls
+    # does not enter
+    for lam, arm in zip(_BOWL_TAIL_LAMS, results["bowls"]):
         fit = asym.fit_rotational_asymptotics(lam, arm)
         anchor = {
             "subcritical": "Lemma 4.2(i): -4/(sqrt(lam)(4-lam)) log r",
@@ -471,18 +451,18 @@ def asymptotics_suite(shared):
                              fit.expected, fit.coefficient, tol[lam], kind="rel"))
 
     # catenoid arms fall into the same regime machinery
-    fit = asym.fit_rotational_asymptotics(1.0, shared.catenoid_1_1)
+    fit = asym.fit_rotational_asymptotics(1.0, results["catenoid"])
     checks.append(_check("catenoid-arm-tail",
                          "Lemma 4.2 applied to the catenoid arms",
                          fit.expected, fit.coefficient, 0.03, kind="rel"))
 
-    fits = asym.grim_endpoint_fit(1.0, 0.0, shared.grim_1_0)
+    fits = asym.grim_endpoint_fit(1.0, 0.0, results["grims"][0])
     expected = math.cosh(0.5 * math.pi) ** 2
     for side in ("a", "b"):
         checks.append(_check(f"grim-endpoint-log-coefficient-{side}",
                              "sec. 3: gamma ~ -((1+lam(c+b)^2)/sqrt(lam)) log(b-y)",
                              expected, fits[side].fitted, 0.03, kind="rel"))
-    fits1 = asym.grim_endpoint_fit(1.0, 1.0, shared.grim_1_1)
+    fits1 = asym.grim_endpoint_fit(1.0, 1.0, results["grims"][1])
     for side in ("a", "b"):
         checks.append(_check(f"grim-endpoint-tilted-{side}",
                              "sec. 3 endpoint coefficients at (lam, c) = (1, 1)",
@@ -529,9 +509,11 @@ def asymptotics_suite(shared):
 # limits suite
 
 
-def limits_suite():
+def limits_suite(results):
+    """The limits checks; ``results`` holds the limit reports of
+    ``SUITE_JOBS["limits"]``."""
     checks = []
-    rep = asym.limit_grim_reaper(0.0)
+    rep = results["limit_grim"]
     checks.append(_check("limit-grim-decreasing",
                          "Thm 1.2(1): convergence to z = xy/2 + cx on strips",
                          1.0, float(rep.strictly_decreasing), 0.0, kind="true"))
@@ -542,7 +524,7 @@ def limits_suite():
                          "Thm 1.2(1): the limit surface is minimal",
                          0.0, rep.details["limit_surface_H_sup"], 1e-12))
 
-    repb = asym.limit_bowl()
+    repb = results["limit_bowl"]
     checks.append(_check("limit-bowl-decreasing",
                          "Thm 1.2(2): uniform convergence to a horizontal plane",
                          1.0, float(repb.strictly_decreasing), 0.0, kind="true"))
@@ -556,7 +538,7 @@ def limits_suite():
                          "horizontal plane has H = 0 for every lam",
                          0.0, plane_h, 1e-12))
 
-    repc = asym.limit_catenoid(1.0)
+    repc = results["limit_catenoid"]
     checks.append(_check("limit-catenoid-decreasing",
                          "Thm 1.2(3): convergence on cylinders to f~",
                          1.0, float(repc.strictly_decreasing), 0.0, kind="true"))
@@ -608,17 +590,51 @@ def _catenoid_limit_jet(f0: float, z: float) -> GraphJet:
 # report assembly
 
 
+# the jobs of a verify run, by name: the grim grid's checks, the grim
+# reapers (1, 0) and (1, 1), the bowls to r = 200 of the tail fits (the
+# lam = 1 one is also the core suite's), the axis bowls, the catenoid (1, 1),
+# the helicoid checks with the helicoid (1, 1, 1), and the reports of the
+# three limits
+_JOBS = {
+    "grim_grid": _grim_grid_job,
+    "grims": lambda: fam.grim_reapers_job([fam.GrimReaperParams(1.0, 0.0),
+                                           fam.GrimReaperParams(1.0, 1.0)]),
+    "bowls": lambda: fam.bowls_job(_BOWL_TAIL_LAMS, 200.0),
+    "axis_bowls": lambda: fam.bowls_job(_BOWL_AXIS_LAMS, 1.0, n_samples=50),
+    "catenoid": lambda: fam.catenoid_job(1.0, 1.0),
+    "helicoids": _helicoid_job,
+    "limit_grim": lambda: asym.limit_grim_reaper_job(0.0),
+    "limit_bowl": asym.limit_bowl_job,
+    "limit_catenoid": lambda: asym.limit_catenoid_job(1.0),
+}
+
+# the job results each suite reads
+SUITE_JOBS = {
+    "core": ("grim_grid", "grims", "bowls", "axis_bowls", "catenoid", "helicoids"),
+    "asymptotics": ("grims", "bowls", "catenoid"),
+    "limits": ("limit_grim", "limit_bowl", "limit_catenoid"),
+}
+
+
+def run_jobs(names) -> dict:
+    """The results of the jobs ``names`` (keys of ``_JOBS``), each run once,
+    all in one ``families.solve_jobs`` call."""
+    names = list(dict.fromkeys(names))
+    return dict(zip(names, fam.solve_jobs(*(_JOBS[name]() for name in names))))
+
+
 def run_suite(suite: str) -> dict:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    parts = [part for part in SUITE_JOBS if suite in (part, "all")]
+    results = run_jobs(name for part in parts for name in SUITE_JOBS[part])
     checks = []
-    shared = _SharedProfiles()
-    if suite in ("core", "all"):
-        checks += core_suite(shared)
-    if suite in ("asymptotics", "all"):
-        checks += asymptotics_suite(shared)
-    if suite in ("limits", "all"):
-        checks += limits_suite()
+    if "core" in parts:
+        checks += core_suite(results)
+    if "asymptotics" in parts:
+        checks += asymptotics_suite(results)
+    if "limits" in parts:
+        checks += limits_suite(results)
     passed = sum(1 for c in checks if c["passed"])
     return {
         "suite": suite,

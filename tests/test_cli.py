@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 import nil3trans
-from nil3trans import exports
+from nil3trans import exports, ode
 from nil3trans.cli import build_parser, main
 from nil3trans.families import (
     GrimReaperParams,
@@ -165,6 +166,38 @@ class TestCli:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: numerical failure:")
         assert proc.stderr.count("\n") == 1
+
+    def test_tiny_pitch_at_the_axis_exits_promptly(self):
+        # the seed's patch jet is already degenerate here; the arms were once
+        # integrated over the whole span (8 s) before the sampled profile
+        # failed the same test
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(nil3trans.__file__)),
+                          os.environ.get("PYTHONPATH")])))
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "nil3trans.cli", "helicoid",
+                               "--pitch", "1e-8", "--r0", "0"],
+                              capture_output=True, text=True, timeout=20, env=env)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 3
+        assert proc.stderr == ("error: numerical failure: "
+                               "tangent basis is (numerically) degenerate\n")
+        # about 0.3 s, nearly all of it the interpreter start and the imports
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("f0", ["1000", "0", "-1", "nan", "inf"])
+    def test_limits_checks_f0_before_any_solve(self, capsys, monkeypatch, f0):
+        calls = []
+        solve_ivp = ode.solve_ivp
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(ode, "solve_ivp", counted)
+        assert main(["limits", "--f0", f0]) == 2
+        assert calls == []
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_runtime_imports_no_scipy(self):
         # scipy is a test-only dependency; the installed program needs numpy only

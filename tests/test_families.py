@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nil3trans import families
-from nil3trans.core import Point, group_mul
+from nil3trans import families, ode
+from nil3trans.core import KillingField, Point, group_mul
 from nil3trans.families import (
     GrimReaperParams,
     HelicoidParams,
@@ -24,6 +24,7 @@ from nil3trans.families import (
     solve_helicoid,
     sweep_surface,
 )
+from nil3trans.surface import PatchJet, patch_shape, translator_residual
 
 
 class TestGrimReaper:
@@ -200,15 +201,19 @@ class TestCatenoid:
         assert prof.data["r"][-1] == pytest.approx(150.0, rel=1e-12)
 
     def test_tolerances_reach_the_neck(self, monkeypatch):
+        # every lane of the neck call, and of the arms' call after it, runs
+        # at the caller's tolerances
         seen = []
+        solve_ivp = ode.solve_ivp
 
-        def spy(*args, **kwargs):
-            seen.append((kwargs.get("rtol"), kwargs.get("atol")))
-            return catenoid_necks(*args, **kwargs)
+        def spy(rhs, *args, **kwargs):
+            seen.append((rhs, set(kwargs["rtol"]), set(kwargs["atol"])))
+            return solve_ivp(rhs, *args, **kwargs)
 
-        monkeypatch.setattr(families, "catenoid_necks", spy)
+        monkeypatch.setattr(ode, "solve_ivp", spy)
         solve_catenoid(1.0, 1.0, r_max=20.0, rtol=1e-9, atol=1e-11)
-        assert seen == [(1e-9, 1e-11)]
+        assert seen == [(families._neck_lanes, {1e-9}, {1e-11}),
+                        (families._rotational_lanes, {1e-9}, {1e-11})]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -291,12 +296,49 @@ class TestPlanarGrimReaper:
         assert w2 == pytest.approx(0.5 * w1, abs=1e-14)
 
     def test_rotation_of_direction(self):
-        # direction (1, 0): the (0,1)-profile rotated by -pi/2,
-        # (px, py) -> (-py, px)
+        # direction (1, 0): the (0,1)-profile rotated by -pi/2, which takes
+        # (0, 1) to (1, 0): (px, py) -> (py, -px)
         base = planar_grim_reaper((0.0, 1.0))
         rot = planar_grim_reaper((1.0, 0.0))
-        assert rot.data["px"] == pytest.approx(-base.data["py"], abs=1e-14)
-        assert rot.data["py"] == pytest.approx(base.data["px"], abs=1e-14)
+        assert rot.data["px"] == pytest.approx(base.data["py"], abs=1e-14)
+        assert rot.data["py"] == pytest.approx(-base.data["px"], abs=1e-14)
+
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (1.0, 1.0), (-2.0, 0.5), (0.3, -1.7)])
+    def test_arms_trail_the_tip(self, direction):
+        # a grim reaper moves tip first: both end samples lie behind the
+        # tip, ahead along the unit direction from it
+        prof = planar_grim_reaper(direction)
+        u = np.array(direction) / math.hypot(*direction)
+        pts = np.column_stack([prof.data["px"], prof.data["py"]])
+        tip = pts[np.argmin(np.abs(prof.data["x"]))]
+        assert (pts[0] - tip) @ u > 0 and (pts[-1] - tip) @ u > 0
+
+    @pytest.mark.parametrize("direction", [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
+                                           (-2.0, 0.5), (0.3, -1.7)])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])
+    def test_cylinder_translates_along_its_direction(self, direction, lam):
+        # the vertical cylinder over (px, py) is a translator for the field
+        # a1 F1 + a2 F2, by the kernel: its patch (px(x), py(x), v) has the
+        # frame coefficients v1 = (px', py', (py px' - px py')/2), v2 = Z
+        prof = planar_grim_reaper(direction)
+        a1, a2 = direction
+        speed = math.hypot(a1, a2)
+        x, h, px, py = (prof.data[k] for k in ("x", "y", "px", "py"))
+        # (px, py) is the linear image of the base curve (x, h(x)); the map
+        # is read off the samples, so the test holds for any such map
+        rot = np.linalg.lstsq(np.column_stack([x, h]), np.column_stack([px, py]),
+                              rcond=None)[0].T
+        hp = np.tan(speed * x)
+        dx, dy = rot @ np.vstack([np.ones_like(x), hp])
+        ddx, ddy = rot @ np.vstack([np.zeros_like(x), speed * (1.0 + hp * hp)])
+        zero = np.zeros_like(x)
+        jet = PatchJet(Point(px, py, zero),
+                       (dx, dy, 0.5 * (py * dx - px * dy)), (zero, zero, 1.0 + zero),
+                       (ddx, ddy, 0.5 * (py * ddx - px * ddy), zero, zero, zero),
+                       (zero,) * 6)
+        shape = patch_shape(lam, jet)
+        residual = translator_residual(lam, shape, KillingField(a1=a1, a2=a2))
+        assert np.max(np.abs(residual)) <= 1e-10
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):

@@ -264,6 +264,37 @@ class TestLanes:
         assert sol.nfev == short.nfev + long_.nfev
         assert len(sol.t) == len(short.t) + len(long_.t)
 
+    def test_mixed_tolerance_lanes_match_single_solves(self):
+        # the grim grid's tolerances and the default ones in one call: each
+        # lane equals its call alone, dense coefficients included
+        lam, c = np.array([1.0, 1.0, 4.0, 0.5]), np.array([0.0, 1.0, 2.0, 1.0])
+        rtol, atol = np.array([1e-13, 1e-10, 1e-13, 1e-6]), np.array([1e-15, 1e-12, 1e-15, 1e-9])
+        t1 = [slab(*lc).b_endpoint + 1.0 for lc in zip(lam, c)]
+
+        def rhs(y, state, lam, c):
+            return grim_reaper_rhs(lam, c, y, state[0], state[1])
+
+        batch = ode.solve_ivp(rhs, ([0.0] * 4, t1), np.zeros((4, 2)), args=(lam, c),
+                              rtol=rtol, atol=atol).trajectories
+        for i, traj in enumerate(batch):
+            alone = ode.solve_ivp(rhs, ([0.0], [t1[i]]), [(0.0, 0.0)],
+                                  args=(lam[i:i + 1], c[i:i + 1]),
+                                  rtol=float(rtol[i]), atol=float(atol[i])).trajectories[0]
+            assert traj.termination == "blow_up"
+            same_trajectory(traj, alone)
+        assert len(batch[0].t) > len(batch[1].t) > len(batch[3].t)
+
+    @pytest.mark.parametrize("rtol, atol, match", [
+        ([1e-10, math.nan], 1e-12, "finite"), (1e-10, [math.inf, 1e-12], "finite"),
+        ([1e-10, 0.0], 1e-12, "rtol"), ([1.0, 1e-10], 1e-12, "rtol"),
+        ([1e-10, -1e-3], 1e-12, "rtol"), (1e-10, [1e-12, 0.0], "atol"),
+        (1e-10, [1e-12, -1.0], "atol"), ([1e-10, 1e-10, 1e-10], 1e-12, "broadcast"),
+    ])
+    def test_per_lane_tolerances_checked(self, rtol, atol, match):
+        with pytest.raises(ValueError, match=match):
+            ode.solve_ivp(lambda t, y: y, ([0.0, 0.0], [1.0, 2.0]), [(1.0,), (1.0,)],
+                          rtol=rtol, atol=atol)
+
     def test_counters(self):
         traj = integrate(OdeProblem(lambda t, y: y, (1.0,), (0.0, 1.0)))
         assert traj.n_steps == len(traj.t) - 1 > 0

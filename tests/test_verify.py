@@ -53,42 +53,55 @@ class TestPolylineEmbedded:
             assert _polyline_embedded(profile(pts)) == verdicts[-1]
         assert any(verdicts) and not all(verdicts)
 
+    @pytest.mark.parametrize("t_lo, embedded", [(-0.9, True), (-1.5, False)])
+    def test_long_polyline(self, t_lo, embedded):
+        # 1,601 points of the nodal cubic (t^2 - 1, t^3 - t), which crosses
+        # itself at the origin (t = +-1) only; t >= -0.9 leaves that out
+        t = np.linspace(t_lo, 1.5, 1601)
+        pts = np.column_stack([t * t - 1.0, t * t * t - t])
+        assert _polyline_embedded(profile(pts)) is embedded
+
+
+def lane_spy(monkeypatch):
+    """Record the right-hand side of every ode.solve_ivp call, and per lane
+    (rhs, t0, t1, y0, args, rtol, atol)."""
+    calls, lanes = [], []
+    solve_ivp = ode.solve_ivp
+
+    def spy(rhs, t_span, y0, args=(), rtol=ode.DEFAULT_RTOL, atol=ode.DEFAULT_ATOL, **kwargs):
+        calls.append(rhs)
+        n = len(t_span[0])
+        per_lane = [np.broadcast_to(v, (n,)) for v in (*args, rtol, atol)]
+        lanes.extend((rhs, t0, t1, tuple(y), *(float(v[i]) for v in per_lane))
+                     for i, (t0, t1, y) in enumerate(zip(*t_span, y0)))
+        return solve_ivp(rhs, t_span, y0, args=args, rtol=rtol, atol=atol, **kwargs)
+
+    monkeypatch.setattr(ode, "solve_ivp", spy)
+    return calls, lanes
+
 
 def test_run_suite_solves_each_shared_profile_once(monkeypatch):
     # the residual check reads helicoid (1, 1, 1) from the helicoid grid, and
-    # the lam = 1 tail fit reads the bowl (1, 200) that the core suite solves
-    calls = []
-
-    def spy(name):
-        fn = getattr(families, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append((name, args))
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(families, name, wrapper)
-
-    spy("solve_bowls")
-    spy("solve_helicoids")
+    # the lam = 1 tail fit reads the bowl (1, 200) that the core suite reads:
+    # no lane is integrated twice in a run
+    _, lanes = lane_spy(monkeypatch)
     assert verify.run_suite("all")["passed"]
-    bowls = [(lam, args[1]) for name, args in calls if name == "solve_bowls"
-             for lam in args[0]]
-    helicoids = [p for name, args in calls if name == "solve_helicoids"
-                 for p in args[0]]
-    assert bowls.count((1.0, 200.0)) == 1
-    assert helicoids.count(families.HelicoidParams(1.0, 1.0, 1.0)) == 1
+    assert len(set(lanes)) == len(lanes)
+    bowl_1_200 = [lane for lane in lanes if lane[0] is families._rotational_lanes
+                  and lane[2:] == (200.0, ode.series_start("bowl-origin", 1.0)[1], 1.0,
+                                   ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)]
+    helicoid_1_1_1 = [lane for lane in lanes if lane[0] is families._helicoid_lanes
+                      and lane[3:6] == ((1.0, 0.0, 0.5 * np.pi), 1.0, 1.0)]
+    assert len(bowl_1_200) == 1 and len(helicoid_1_1_1) == 2
 
 
 def test_run_suite_makes_one_solve_per_right_hand_side_and_site(monkeypatch):
-    # the grim grid, the shared grims, the axis bowls, the shared bowls, the
-    # catenoid neck and arms, the helicoid grid, and the limit windows, bowls
-    # and necks: 25 calls when each lambda had its own
-    calls = []
-    solve_ivp = ode.solve_ivp
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(ode, "solve_ivp", counted)
+    # one call per right-hand side: the grim grid, the shared grims and the
+    # limit windows; the catenoid neck and the limit necks; the helicoid
+    # grid; and, after the necks, the tail, limit and axis bowls with the
+    # catenoid arms (25 calls when each lambda had its own, 10 when each site
+    # had its own)
+    calls, _ = lane_spy(monkeypatch)
     assert verify.run_suite("all")["passed"]
-    assert len(calls) <= 10, calls
+    assert calls == [families._grim_lanes, families._neck_lanes,
+                     families._helicoid_lanes, families._rotational_lanes]
