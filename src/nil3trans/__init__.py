@@ -52,9 +52,6 @@ from .asymptotics import (
     fit_rotational_asymptotics,
     grim_endpoint_fit,
     horizontal_mean_curvature,
-    limit_bowl,
-    limit_catenoid,
-    limit_grim_reaper,
     radial_linear_closed_form,
 )
 from .families import (
@@ -73,9 +70,7 @@ from .families import (
     solve_bowl,
     solve_catenoid,
     solve_grim_reaper,
-    solve_grim_reapers,
     solve_helicoid,
-    solve_helicoids,
     sweep_surface,
 )
 

@@ -22,13 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import (
-    ProfileCurve,
-    bowls_job,
-    grim_windows_job,
-    necks_job,
-    solve_jobs,
-)
+from .families import ProfileCurve, bowls_job, grim_windows_job, necks_job
 from .surface import GraphJet, graph_shape, is_characteristic
 
 
@@ -282,18 +276,14 @@ CATENOID_LIMIT_LAMS = (2e3, 8e3, 3.2e4, 1.28e5)
 CATENOID_LIMIT_MAX_F0 = 100.0
 
 
-def limit_grim_reaper(c: float) -> LimitReport:
+def limit_grim_reaper_job(c: float):
     """Collapse of the tilted grim reapers onto the minimal graph z = xy/2 + cx.
 
-    Per lambda of GRIM_LIMIT_LAMS: sup over |y| <= GRIM_LIMIT_WINDOW of |gamma|
-    and |gamma'|, and the ratio of sup|gamma| to the predicted scale
-    log(sqrt(lam))/sqrt(lam).
+    Per lambda of GRIM_LIMIT_LAMS: sup over LIMIT_SAMPLES points of
+    |y| <= GRIM_LIMIT_WINDOW of |gamma| and |gamma'|, and the ratio of
+    sup|gamma| to the predicted scale log(sqrt(lam))/sqrt(lam).  A job for
+    ``families.solve_jobs``; its result is a ``LimitReport``.
     """
-    return solve_jobs(limit_grim_reaper_job(c))[0]
-
-
-def limit_grim_reaper_job(c: float):
-    """``limit_grim_reaper`` as a job for ``families.solve_jobs``."""
     lams = GRIM_LIMIT_LAMS
     windows = yield from grim_windows_job(lams, c, GRIM_LIMIT_WINDOW)
     ys = np.linspace(-GRIM_LIMIT_WINDOW, GRIM_LIMIT_WINDOW, LIMIT_SAMPLES)
@@ -317,14 +307,11 @@ def limit_grim_reaper_job(c: float):
     )
 
 
-def limit_bowl() -> LimitReport:
-    """Collapse of the bowl onto the horizontal plane z = 0 on
-    r <= ROTATIONAL_LIMIT_WINDOW, per lambda of BOWL_LIMIT_LAMS."""
-    return solve_jobs(limit_bowl_job())[0]
-
-
 def limit_bowl_job():
-    """``limit_bowl`` as a job for ``families.solve_jobs``."""
+    """Collapse of the bowl onto the horizontal plane z = 0 on
+    r <= ROTATIONAL_LIMIT_WINDOW (400 samples), per lambda of
+    BOWL_LIMIT_LAMS.  A job for ``families.solve_jobs``; its result is a
+    ``LimitReport``."""
     lams = BOWL_LIMIT_LAMS
     bowls = yield from bowls_job(lams, ROTATIONAL_LIMIT_WINDOW, n_samples=400)
     sups, psi_sups, c_fits = [], [], []
@@ -340,15 +327,11 @@ def limit_bowl_job():
     )
 
 
-def limit_catenoid(f0: float) -> LimitReport:
-    """Collapse of the neck profiles onto f~(z) = sqrt(4z^2 + f0^4)/f0 on
-    |z| <= ROTATIONAL_LIMIT_WINDOW, per lambda of CATENOID_LIMIT_LAMS, for
-    f0 up to CATENOID_LIMIT_MAX_F0."""
-    return solve_jobs(limit_catenoid_job(f0))[0]
-
-
 def limit_catenoid_job(f0: float):
-    """``limit_catenoid`` as a job for ``families.solve_jobs``; it rejects
+    """Collapse of the neck profiles onto f~(z) = sqrt(4z^2 + f0^4)/f0 on
+    LIMIT_SAMPLES points of |z| <= ROTATIONAL_LIMIT_WINDOW, per lambda of
+    CATENOID_LIMIT_LAMS, for f0 up to CATENOID_LIMIT_MAX_F0.  A job for
+    ``families.solve_jobs``; its result is a ``LimitReport``, and it rejects
     f0 before its request."""
     lams = CATENOID_LIMIT_LAMS
     k = ROTATIONAL_LIMIT_WINDOW

@@ -96,9 +96,16 @@ def connection_bilinear(lam, v_coeffs, w_coeffs):
                        -(lam/2)(a2 c1 + a1 c2),
                         (1/2)(a1 b2 - a2 b1) ).
     The full covariant derivative adds the directional derivative of the
-    coefficients of w along v.
+    coefficients of w along v.  ``lam`` may be an array that broadcasts with
+    the coefficients, one lambda per sample; every element must be positive
+    and finite.
     """
-    lam = _lam_value(lam)
+    if np.ndim(lam) == 0:
+        lam = _lam_value(lam)
+    else:
+        lam = np.asarray(lam, dtype=float)
+        if not np.all((0.0 < lam) & (lam < math.inf)):
+            raise ValueError("lambda must be positive and finite")
     a1, b1, c1 = v_coeffs
     a2, b2, c2 = w_coeffs
     return (

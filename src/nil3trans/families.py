@@ -28,8 +28,9 @@ generator that yields the ``Lanes`` it needs integrated and builds its
 profiles from the trajectories it is sent back.  ``solve_jobs`` runs any
 number of jobs with one ``ode.solve_ivp`` call per right-hand side, so a
 verify run integrates all its grim reapers, necks, helicoids and
-rotational arms in four calls; each ``solve_*`` function is its job run
-alone.
+rotational arms in four calls.  A single profile of a family comes from
+``solve_grim_reaper``, ``solve_bowl``, ``solve_catenoid`` or
+``solve_helicoid``.
 """
 
 from __future__ import annotations
@@ -137,15 +138,19 @@ def grim_reaper_rhs(lam, c, y, gamma, gamma_p):
     return gamma_p, gamma_pp
 
 
-def grim_reaper_closed_form(lam: float, c: float, y: float) -> float:
-    """Closed-form gamma'(y), defined on the open slab only."""
+def grim_reaper_closed_form(lam: float, c: float, y):
+    """Closed-form gamma'(y), defined on the open slab only; y may be an
+    array of samples."""
     sl = slab(lam, c)
-    if not sl.a_endpoint < y < sl.b_endpoint:
-        raise ValueError(f"y={y} outside the open slab ({sl.a_endpoint}, {sl.b_endpoint})")
+    ys = np.asarray(y)
+    outside = ~((sl.a_endpoint < ys) & (ys < sl.b_endpoint))
+    if np.any(outside):
+        raise ValueError(f"y={ys[outside][0]} outside the open slab "
+                         f"({sl.a_endpoint}, {sl.b_endpoint})")
     s = math.sqrt(lam)
     a = y + c
-    theta = (math.asinh(s * a) - math.asinh(s * c)) / s
-    return math.sqrt(a * a + 1.0 / lam) * math.tan(theta)
+    theta = (np.arcsinh(s * a) - math.asinh(s * c)) / s
+    return np.sqrt(a * a + 1.0 / lam) * np.tan(theta)
 
 
 def grim_reaper_jet(lam: float, c: float, y, gamma, gamma_p) -> GraphJet:
@@ -172,20 +177,13 @@ def solve_grim_reaper(params: GrimReaperParams,
     With ``derived=False`` only gamma and gamma' are tabulated (no per-sample
     shape data), which keeps tight-tolerance runs fast.
     """
-    return solve_grim_reapers([params], rtol=rtol, atol=atol, derived=derived)[0]
-
-
-def solve_grim_reapers(params, rtol: float = ode.DEFAULT_RTOL,
-                       atol: float = ode.DEFAULT_ATOL,
-                       derived: bool = True) -> list:
-    """``solve_grim_reaper`` for each of ``params``; both directions of all
-    curves are integrated as the lanes of one ``ode.solve_ivp`` call."""
-    return solve_jobs(grim_reapers_job(params, rtol, atol, derived))[0]
+    return solve_jobs(grim_reapers_job([params], rtol, atol, derived))[0][0]
 
 
 def grim_reapers_job(params, rtol: float = ode.DEFAULT_RTOL,
                      atol: float = ode.DEFAULT_ATOL, derived: bool = True):
-    """``solve_grim_reapers`` as a job for ``solve_jobs``."""
+    """The grim reaper of each of ``params``, as ``solve_grim_reaper`` builds
+    it; both directions of all curves are asked for as one ``Lanes``."""
     params = list(params)
     slabs = [slab(p.lam, p.c) for p in params]
     pairs = yield from _both_ways(
@@ -269,18 +267,13 @@ def _shape_columns(lam: float, shape, graph_jet: GraphJet | None = None) -> dict
     return cols
 
 
-def grim_reapers_on_window(lams, c: float, y_max: float) -> list:
+def grim_windows_job(lams, c: float, y_max: float):
     """Dense gamma and gamma' on [-y_max, y_max] for each of ``lams``, as
     callables y -> (gamma, gamma'); used by the large-lambda limits.
 
-    The window must sit in every slab.  Both halves of every window are
-    integrated as the lanes of one ``ode.solve_ivp`` call.
+    The window must lie in every slab.  Both halves of every window are
+    asked for as one ``Lanes``.
     """
-    return solve_jobs(grim_windows_job(lams, c, y_max))[0]
-
-
-def grim_windows_job(lams, c: float, y_max: float):
-    """``grim_reapers_on_window`` as a job for ``solve_jobs``."""
     for lam in lams:
         params = GrimReaperParams(lam, c)
         sl = slab(params.lam, params.c)
@@ -334,14 +327,9 @@ def solve_bowl(lam: float, r_max: float, n_samples: int = 1500,
     return _bowl_profile(lam, r_max, n_samples, traj)
 
 
-def solve_bowls(lams, r_max: float, n_samples: int = 1500) -> list:
-    """``solve_bowl`` for each of ``lams``; the bowls are integrated as the
-    lanes of one ``ode.solve_ivp`` call."""
-    return solve_jobs(bowls_job(lams, r_max, n_samples))[0]
-
-
 def bowls_job(lams, r_max: float, n_samples: int = 1500):
-    """``solve_bowls`` as a job for ``solve_jobs``."""
+    """The bowl of each of ``lams``, as ``solve_bowl`` builds it; the bowls
+    are asked for as one ``Lanes``."""
     starts = [ode.series_start("bowl-origin", lam) for lam in lams]
     deltas = [delta for delta, _ in starts]
     if not all(r_max > delta for delta in deltas):
@@ -378,19 +366,12 @@ def _neck_lanes(z, state, lam):
     return state[1], catenoid_neck_rhs(lam, state[0], state[1])
 
 
-def catenoid_necks(lams, f0: float, z_max: float,
-                   rtol: float = ode.DEFAULT_RTOL,
-                   atol: float = ode.DEFAULT_ATOL) -> list:
-    """Neck profile on [-z_max, z_max] for each of ``lams``, as pairs of a
-    callable z -> (f, f') and the (down, up) trajectories; the halves below
-    and above every apex are integrated as the lanes of one ``ode.solve_ivp``
-    call, and the callable reads ``_apex_taylor`` between them."""
-    return solve_jobs(necks_job(lams, f0, z_max, rtol, atol))[0]
-
-
 def necks_job(lams, f0: float, z_max: float, rtol: float = ode.DEFAULT_RTOL,
               atol: float = ode.DEFAULT_ATOL):
-    """``catenoid_necks`` as a job for ``solve_jobs``."""
+    """Neck profile on [-z_max, z_max] for each of ``lams``, as a pair
+    ``(f, (down, up))`` of a callable z -> (f, f') and the trajectories of
+    the halves below and above the apex; the halves of every neck are asked
+    for as one ``Lanes``, and ``f`` reads ``_apex_taylor`` between them."""
     starts = [ode.series_start("catenoid-apex", lam, f0=f0) for lam in lams]
     pairs = yield from _both_ways(_neck_lanes,
                                   [(-delta, -z_max, (f, -fp)) for delta, (f, fp) in starts],
@@ -427,23 +408,13 @@ def neck_patch_jet(lam: float, z, f, f_p, v2: float = 0.0) -> PatchJet:
 GLUING_EPS_CAP = 0.1
 
 
-def choose_gluing_offset(lam: float, f0: float,
-                         rtol: float = ode.DEFAULT_RTOL,
-                         atol: float = ode.DEFAULT_ATOL):
+def _gluing_offset(lam, f):
     """Largest eps <= GLUING_EPS_CAP with f'' > 0 and f' strictly monotone on
-    (0, 2*eps].
+    (0, 2*eps], for the neck ``f`` on [-2 GLUING_EPS_CAP, 2 GLUING_EPS_CAP].
 
     The construction only needs some eps with these properties; they are
-    validated on a fine grid of the neck solution, integrated at the given
-    tolerances.
+    validated on a fine grid of the neck solution.
     """
-    f, _ = catenoid_necks([lam], f0, 2.0 * GLUING_EPS_CAP, rtol=rtol, atol=atol)[0]
-    return _gluing_offset(lam, f), f
-
-
-def _gluing_offset(lam, f):
-    """``choose_gluing_offset``'s eps, from the neck ``f`` on
-    [-2 GLUING_EPS_CAP, 2 GLUING_EPS_CAP]."""
     zs = np.linspace(1e-3, 2.0 * GLUING_EPS_CAP, 400)
     vals = f(zs)
     fpp = catenoid_neck_rhs(lam, vals[:, 0], vals[:, 1])
@@ -460,7 +431,7 @@ def solve_catenoid(lam: float, f0: float, r_max: float = 200.0,
                    atol: float = ode.DEFAULT_ATOL) -> ProfileCurve:
     """Glue the neck solution to two graphical arms into the full curve.
 
-    The neck is integrated on [-eps, eps], eps from ``choose_gluing_offset``;
+    The neck is integrated on [-eps, eps], eps from ``_gluing_offset``;
     at the junctions the arms solve the rotational graph ODE out to r_max
     with matching conditions phi(c0) = +-eps, phi'(c0) = 1/c1 where
     c0 = f(+-eps), c1 = f'(+-eps).
@@ -470,8 +441,8 @@ def solve_catenoid(lam: float, f0: float, r_max: float = 200.0,
 
 def catenoid_job(lam: float, f0: float, r_max: float = 200.0,
                  rtol: float = ode.DEFAULT_RTOL, atol: float = ode.DEFAULT_ATOL):
-    """``solve_catenoid`` as a job for ``solve_jobs``: it asks for the neck
-    first and for the arms once the neck has fixed their junctions."""
+    """The catenoid that ``solve_catenoid`` returns: the job asks for the
+    neck first and for the arms once the neck has fixed their junctions."""
     [(f, _)] = yield from necks_job([lam], f0, 2.0 * GLUING_EPS_CAP, rtol, atol)
     eps = _gluing_offset(lam, f)
     c0p, c1p = f(eps)
@@ -614,25 +585,17 @@ def solve_helicoid(params: HelicoidParams, s_span: float = 50.0,
     Normalization: gamma(0) = (r0, 0) with tangent angle pi/2, so tau(0) = 0
     and the closest point lies on the positive x-axis.
     """
-    return solve_helicoids([params], s_span, n_samples, rtol=rtol, atol=atol)[0]
-
-
-def solve_helicoids(params, s_span: float = 50.0, n_samples: int = 4001,
-                    rtol: float = ode.DEFAULT_RTOL,
-                    atol: float = ode.DEFAULT_ATOL) -> list:
-    """``solve_helicoid`` for each of ``params``; both arms of all curves are
-    integrated as the lanes of one ``ode.solve_ivp`` call."""
-    return solve_jobs(helicoids_job(params, s_span, n_samples, rtol, atol))[0]
+    return solve_jobs(helicoids_job([params], s_span, n_samples, rtol, atol))[0][0]
 
 
 def helicoids_job(params, s_span: float = 50.0, n_samples: int = 4001,
                   rtol: float = ode.DEFAULT_RTOL, atol: float = ode.DEFAULT_ATOL):
-    """``solve_helicoids`` as a job for ``solve_jobs``.
+    """The helicoid of each of ``params``, as ``solve_helicoid`` builds it;
+    both arms of all curves are asked for as one ``Lanes``.
 
-    Before the solve, the patch jets at the seeds go through one
-    ``patch_shape`` call per lambda, which raises ``RuntimeError`` on a
-    degenerate tangent basis there, as the sampled profile would after the
-    solve.
+    Before the solve, the patch jets at all seeds go through one
+    ``patch_shape`` call, which raises ``RuntimeError`` on a degenerate
+    tangent basis there, as the sampled profile would after the solve.
     """
     if not 0 < s_span <= MAX_HELICOID_SPAN:
         raise ValueError(f"s_span must lie in (0, {MAX_HELICOID_SPAN:g}]")
@@ -644,9 +607,7 @@ def helicoids_job(params, s_span: float = 50.0, n_samples: int = 4001,
                                f"{MIN_HELICOID_SCALE:g}: the curvature is unresolvable")
     seeds = [(p.r0, 0.0, 0.5 * math.pi) for p in params]
     lams, pitches = np.array([p.lam for p in params]), np.array([p.pitch for p in params])
-    for lam in np.unique(lams):
-        sel = lams == lam
-        patch_shape(lam, helicoid_patch_jet(lam, pitches[sel], *np.array(seeds)[sel].T))
+    patch_shape(lams, helicoid_patch_jet(lams, pitches, *np.reshape(seeds, (-1, 3)).T))
     pairs = yield from _both_ways(_helicoid_lanes, [(0.0, -s_span, y0) for y0 in seeds],
                                   [(0.0, s_span, y0) for y0 in seeds],
                                   (lams, pitches), rtol, atol)
@@ -776,6 +737,11 @@ def planar_grim_reaper(direction) -> ProfileCurve:
         raise ValueError("direction must be finite and nonzero")
     width = math.pi / speed
     margin = PLANAR_GRIM_MARGIN / speed
+    # a subnormal speed overflows the width, and below ~5.6e-311 the smaller
+    # margin too, to inf: Python floats do not raise
+    if not math.isfinite(width):
+        raise RuntimeError(f"direction speed {speed:g} is too small: "
+                           f"the width pi/speed overflows")
     xs = np.linspace(-0.5 * width + margin, 0.5 * width - margin,
                      PLANAR_GRIM_SAMPLES)
     h = -np.log(np.cos(speed * xs)) / speed

@@ -131,8 +131,12 @@ def patch_covariant(lam: float, jet: PatchJet, i: int, j: int) -> FrameVector:
     return FrameVector(jet.point, *(d + g for d, g in zip(dvj, gamma)))
 
 
-def patch_shape(lam: float, jet: PatchJet) -> ShapeData:
-    """Shape data of a general patch; normal oriented along G^{-1}(V1 x V2)."""
+def patch_shape(lam, jet: PatchJet) -> ShapeData:
+    """Shape data of a general patch; normal oriented along G^{-1}(V1 x V2).
+
+    ``lam`` may be an array that broadcasts with the jet, one lambda per
+    sample, so that one call shapes samples of different metrics.
+    """
     v1, v2 = jet.v1, jet.v2
     g11 = _dot(lam, v1, v1)
     g12 = _dot(lam, v1, v2)

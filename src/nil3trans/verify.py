@@ -179,8 +179,8 @@ def _grim_grid_job():
         lo = sl.a_endpoint + 0.05 * sl.width
         hi = sl.b_endpoint - 0.05 * sl.width
         mask = (prof.t >= lo) & (prof.t <= hi)
-        for y, gp in zip(prof.t[mask], prof.data["gamma_prime"][mask]):
-            sup_cf = max(sup_cf, abs(gp - fam.grim_reaper_closed_form(lam, c, y)))
+        closed = fam.grim_reaper_closed_form(lam, c, prof.t[mask])
+        sup_cf = np.max(np.abs(prof.data["gamma_prime"][mask] - closed), initial=sup_cf)
         sup_end = max(sup_end,
                       abs(prof.diagnostics["a_numeric"] - sl.a_endpoint),
                       abs(prof.diagnostics["b_numeric"] - sl.b_endpoint))
@@ -513,7 +513,7 @@ def limits_suite(results):
     """The limits checks; ``results`` holds the limit reports of
     ``SUITE_JOBS["limits"]``."""
     checks = []
-    rep = results["limit_grim"]
+    rep = results["grim_limit"]
     checks.append(_check("limit-grim-decreasing",
                          "Thm 1.2(1): convergence to z = xy/2 + cx on strips",
                          1.0, float(rep.strictly_decreasing), 0.0, kind="true"))
@@ -524,7 +524,7 @@ def limits_suite(results):
                          "Thm 1.2(1): the limit surface is minimal",
                          0.0, rep.details["limit_surface_H_sup"], 1e-12))
 
-    repb = results["limit_bowl"]
+    repb = results["bowl_limit"]
     checks.append(_check("limit-bowl-decreasing",
                          "Thm 1.2(2): uniform convergence to a horizontal plane",
                          1.0, float(repb.strictly_decreasing), 0.0, kind="true"))
@@ -538,7 +538,7 @@ def limits_suite(results):
                          "horizontal plane has H = 0 for every lam",
                          0.0, plane_h, 1e-12))
 
-    repc = results["limit_catenoid"]
+    repc = results["catenoid_limit"]
     checks.append(_check("limit-catenoid-decreasing",
                          "Thm 1.2(3): convergence on cylinders to f~",
                          1.0, float(repc.strictly_decreasing), 0.0, kind="true"))
@@ -603,16 +603,16 @@ _JOBS = {
     "axis_bowls": lambda: fam.bowls_job(_BOWL_AXIS_LAMS, 1.0, n_samples=50),
     "catenoid": lambda: fam.catenoid_job(1.0, 1.0),
     "helicoids": _helicoid_job,
-    "limit_grim": lambda: asym.limit_grim_reaper_job(0.0),
-    "limit_bowl": asym.limit_bowl_job,
-    "limit_catenoid": lambda: asym.limit_catenoid_job(1.0),
+    "grim_limit": lambda: asym.limit_grim_reaper_job(0.0),
+    "bowl_limit": asym.limit_bowl_job,
+    "catenoid_limit": lambda: asym.limit_catenoid_job(1.0),
 }
 
 # the job results each suite reads
 SUITE_JOBS = {
     "core": ("grim_grid", "grims", "bowls", "axis_bowls", "catenoid", "helicoids"),
     "asymptotics": ("grims", "bowls", "catenoid"),
-    "limits": ("limit_grim", "limit_bowl", "limit_catenoid"),
+    "limits": ("grim_limit", "bowl_limit", "catenoid_limit"),
 }
 
 

@@ -10,10 +10,10 @@ from nil3trans.asymptotics import (
     fit_rotational_asymptotics,
     grim_endpoint_fit,
     horizontal_mean_curvature,
-    limit_bowl,
-    limit_grim_reaper,
+    limit_bowl_job,
+    limit_grim_reaper_job,
     catenoid_limit_profile,
-    limit_catenoid,
+    limit_catenoid_job,
     radial_linear_closed_form,
 )
 from nil3trans.families import (
@@ -22,6 +22,7 @@ from nil3trans.families import (
     solve_bowl,
     solve_catenoid,
     solve_grim_reaper,
+    solve_jobs,
 )
 from nil3trans.surface import GraphJet
 
@@ -228,20 +229,20 @@ class TestEndpointFits:
 
 class TestLimits:
     def test_grim_limit(self):
-        rep = limit_grim_reaper(0.0)
+        [rep] = solve_jobs(limit_grim_reaper_job(0.0))
         assert rep.strictly_decreasing
         assert max(rep.details["ratios"]) <= 1.0
         assert rep.details["limit_surface_H_sup"] < 1e-12
         assert rep.decay_rate is not None and rep.decay_rate < 0
 
     def test_bowl_limit(self):
-        rep = limit_bowl()
+        [rep] = solve_jobs(limit_bowl_job())
         assert rep.strictly_decreasing
         cs = rep.details["psi_bound_constants"]
         assert max(cs) <= cs[0]
 
     def test_catenoid_limit(self):
-        rep = limit_catenoid(1.0)
+        [rep] = solve_jobs(limit_catenoid_job(1.0))
         assert rep.strictly_decreasing
         # observed decay ~ lam^(-1/2): quadrupling lambda roughly halves
         # the sup-norm error on the window
@@ -261,14 +262,14 @@ class TestLimits:
         # z = -0.0636 for lambda = 2e3), so the window is not covered and the
         # report must refuse, naming the f0 to change
         with pytest.raises(ValueError, match=r"lambda=2000.0 .*increase f0 \(here 0.1\)"):
-            limit_catenoid(0.1)
+            solve_jobs(limit_catenoid_job(0.1))
 
     def test_catenoid_f0_validation(self):
         with pytest.raises(ValueError):
-            limit_catenoid(-1.0)
+            solve_jobs(limit_catenoid_job(-1.0))
         # above the bound the errors reach round-off inside the grid
         with pytest.raises(ValueError, match=r"f0 must be at most 100 \(here 1000.0\)"):
-            limit_catenoid(1000.0)
+            solve_jobs(limit_catenoid_job(1000.0))
 
 
 class TestHorizontalMeanCurvature:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nil3trans
 from nil3trans import exports, ode
@@ -129,6 +132,13 @@ class TestExports:
             exports.write_file("/no/such/dir/file.txt", "x")
 
 
+def _subprocess_env():
+    """The environment of a child interpreter that imports this nil3trans."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(nil3trans.__file__)),
+                      os.environ.get("PYTHONPATH")])))
+
+
 class TestCli:
     def test_parser_subcommands(self):
         parser = build_parser()
@@ -146,23 +156,17 @@ class TestCli:
 
     def test_nonfinite_span_exits_promptly(self):
         # a NaN span once sent the bowl integration into an endless loop
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [os.path.dirname(os.path.dirname(nil3trans.__file__)),
-                          os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "nil3trans.cli", "bowl", "--span", "nan"],
-                              capture_output=True, text=True, timeout=60, env=env)
+                              capture_output=True, text=True, timeout=60, env=_subprocess_env())
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
     def test_tiny_pitch_exits_promptly(self):
         # a helicoid this flat once integrated for over a minute before its
         # step underflow ended it
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [os.path.dirname(os.path.dirname(nil3trans.__file__)),
-                          os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "nil3trans.cli", "helicoid",
                                "--pitch", "1e-30"],
-                              capture_output=True, text=True, timeout=20, env=env)
+                              capture_output=True, text=True, timeout=20, env=_subprocess_env())
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: numerical failure:")
         assert proc.stderr.count("\n") == 1
@@ -171,13 +175,10 @@ class TestCli:
         # the seed's patch jet is already degenerate here; the arms were once
         # integrated over the whole span (8 s) before the sampled profile
         # failed the same test
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [os.path.dirname(os.path.dirname(nil3trans.__file__)),
-                          os.environ.get("PYTHONPATH")])))
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "nil3trans.cli", "helicoid",
                                "--pitch", "1e-8", "--r0", "0"],
-                              capture_output=True, text=True, timeout=20, env=env)
+                              capture_output=True, text=True, timeout=20, env=_subprocess_env())
         elapsed = time.perf_counter() - start
         assert proc.returncode == 3
         assert proc.stderr == ("error: numerical failure: "
@@ -201,14 +202,11 @@ class TestCli:
 
     def test_runtime_imports_no_scipy(self):
         # scipy is a test-only dependency; the installed program needs numpy only
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [os.path.dirname(os.path.dirname(nil3trans.__file__)),
-                          os.environ.get("PYTHONPATH")])))
         code = ("import sys, nil3trans.cli; "
                 "assert not [m for m in sys.modules if m == 'scipy' "
                 "or m.startswith('scipy.')]")
         proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, timeout=60, env=env)
+                              capture_output=True, text=True, timeout=60, env=_subprocess_env())
         assert proc.returncode == 0, proc.stderr
 
     def test_numerical_failure_exit_code(self, capsys):
@@ -271,6 +269,11 @@ class TestCli:
         # an arm ended by step underflow: once exited 2 from the read-back
         ["helicoid", "--pitch", "1e-20"],
         ["helicoid", "--pitch", "1e-100"],
+        # a subnormal direction overflows pi/speed in Python floats: once
+        # all-nan csv and obj output with exit 0, and exit 2 from the json
+        # encoder
+        *(["planar-grim", f"--direction={d}", "--format", fmt]
+          for d in ("1e-320,0", "0,-2.86e-315") for fmt in ("csv", "obj", "json")),
     ], ids=" ".join)
     def test_floating_point_failure_exit_code(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:
@@ -340,3 +343,43 @@ class TestCli:
         rep = json.loads(capsys.readouterr().out)
         for fam_name in ("grim", "bowl", "catenoid"):
             assert rep[fam_name]["strictly_decreasing"] is True
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestDomainSweep:
+    """Random parameters across the documented domains: every run ends with
+    exit 0 and finite CSV values, or with exit 2 or 3 and one stderr line,
+    and raises no warning."""
+
+    @staticmethod
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert caught == [], argv
+        assert code in (0, 2, 3), (argv, code, err)
+        if code:
+            assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        else:
+            rows = [row.split(",") for row in out.splitlines()[1:]]
+            assert rows and np.all(np.isfinite(np.array(rows, dtype=float))), argv
+
+    # argparse reads a leading "-" as an option, hence --direction=a,b
+    @given(st.tuples(_FINITE, _FINITE).filter(lambda d: d != (0.0, 0.0)))
+    @settings(max_examples=50, deadline=5000)
+    def test_planar_grim_direction(self, direction):
+        self.check(["planar-grim", "--direction={!r},{!r}".format(*direction)])
+
+    @given(_log_uniform(-12, 6), st.one_of(st.just(0.0), _log_uniform(-12, 12)))
+    @settings(max_examples=30, deadline=5000)
+    def test_grim_lambda_and_slope(self, lam, c):
+        self.check(["grim", "--lambda", repr(lam), "--c", repr(c)])

@@ -119,6 +119,19 @@ class TestConnection:
                         sum(a * b * w for a, b, w in zip(vj, dk, (1, 1, lam)))
                     assert val == pytest.approx(0.0, abs=1e-15)
 
+    def test_one_lambda_per_sample(self):
+        # an array lambda broadcasts with the coefficients; each of its
+        # elements must be positive and finite
+        lams = np.array([0.5, 1.0, 4.0])
+        v, w = (1.0, -2.0, 0.5), (np.array([0.3, -1.0, 2.0]), 0.7, -1.5)
+        batch = connection_bilinear(lams, v, w)
+        for k, lam in enumerate(lams):
+            alone = connection_bilinear(float(lam), v, (w[0][k], w[1], w[2]))
+            assert [comp[k] for comp in batch] == list(alone)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                connection_bilinear(np.array([1.0, bad, 4.0]), v, w)
+
 
 class TestSectionalCurvature:
     def test_horizontal_plane(self):

@@ -8,13 +8,13 @@ from nil3trans.core import KillingField, Point, group_mul
 from nil3trans.families import (
     GrimReaperParams,
     HelicoidParams,
+    GLUING_EPS_CAP,
     catenoid_neck_rhs,
-    catenoid_necks,
-    choose_gluing_offset,
     grim_reaper_closed_form,
     grim_reaper_rhs,
     helicoid_curvature,
     helicoid_rhs,
+    necks_job,
     planar_grim_reaper,
     rotational_rhs,
     slab,
@@ -22,6 +22,7 @@ from nil3trans.families import (
     solve_catenoid,
     solve_grim_reaper,
     solve_helicoid,
+    solve_jobs,
     sweep_surface,
 )
 from nil3trans.surface import PatchJet, patch_shape, translator_residual
@@ -84,6 +85,17 @@ class TestGrimReaper:
             grim_reaper_closed_form(1.0, 0.0, sl.b_endpoint)
         with pytest.raises(ValueError):
             grim_reaper_closed_form(1.0, 0.0, sl.b_endpoint + 1.0)
+
+    def test_closed_form_takes_arrays(self):
+        # one call on an array equals the calls per sample, and names a
+        # sample outside the open slab
+        lam, c = 1.7, 0.6
+        sl = slab(lam, c)
+        ys = np.linspace(sl.a_endpoint, sl.b_endpoint, 203)[1:-1]
+        assert np.array_equal(grim_reaper_closed_form(lam, c, ys),
+                              [grim_reaper_closed_form(lam, c, float(y)) for y in ys])
+        with pytest.raises(ValueError, match=rf"y={sl.b_endpoint} outside"):
+            grim_reaper_closed_form(lam, c, np.append(ys, sl.b_endpoint))
 
     def test_solver_matches_closed_form(self):
         prof = solve_grim_reaper(GrimReaperParams(1.0, 1.0))
@@ -149,14 +161,14 @@ class TestCatenoid:
     def test_neck_symmetric_in_value(self):
         # the neck ODE is not symmetric in z, but at the apex the profile is
         # even to second order; check small-z behavior of the closure
-        f, _ = catenoid_necks([1.0], 1.0, 0.5)[0]
+        [[(f, _)]] = solve_jobs(necks_job([1.0], 1.0, 0.5))
         val_p = f(1e-5)
         val_m = f(-1e-5)
         assert val_p[0] == pytest.approx(val_m[0], abs=1e-12)
         assert val_p[1] == pytest.approx(-val_m[1], abs=1e-9)
 
     def test_neck_continuity_at_taylor_seam(self):
-        f, _ = catenoid_necks([1.0], 1.0, 0.5)[0]
+        [[(f, _)]] = solve_jobs(necks_job([1.0], 1.0, 0.5))
         delta = 1e-4
         # the ODE branches are seeded with second-order starts, so the seam
         # mismatch in f' is the third-order term ~ |f'''(0)| delta^2 / 2
@@ -170,7 +182,7 @@ class TestCatenoid:
         # each half starts at its seam, and the step interpolant at step
         # fraction 0 returns the step's start state exactly
         f0 = 1.0
-        f, (down, up) = catenoid_necks([1.0], f0, 0.5)[0]
+        [[(f, (down, up))]] = solve_jobs(necks_job([1.0], f0, 0.5))
         delta = up.t[0]
         assert 0 < delta and down.t[0] == -delta
         assert np.array_equal(f(delta), up.y[0])
@@ -178,7 +190,8 @@ class TestCatenoid:
         assert np.array_equal(f(0.0), [f0, 0.0])
 
     def test_gluing_offset(self):
-        eps, f = choose_gluing_offset(1.0, 1.0)
+        [[(f, _)]] = solve_jobs(necks_job([1.0], 1.0, 2.0 * GLUING_EPS_CAP))
+        eps = families._gluing_offset(1.0, f)
         assert 0 < eps <= 0.1
         fv, fpv = f(eps)
         assert fpv > 0
@@ -220,7 +233,7 @@ class TestCatenoid:
             solve_catenoid(1.0, -1.0)
         for f0 in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="f0 must be positive and finite"):
-                catenoid_necks([1.0], f0, 1.0)
+                solve_jobs(necks_job([1.0], f0, 1.0))
 
 
 class TestHelicoid:

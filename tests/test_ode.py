@@ -10,16 +10,17 @@ from nil3trans import ode
 from nil3trans.families import (
     GrimReaperParams,
     HelicoidParams,
-    catenoid_necks,
+    bowls_job,
     grim_reaper_rhs,
-    grim_reapers_on_window,
+    grim_reapers_job,
+    grim_windows_job,
+    helicoids_job,
+    necks_job,
     slab,
     solve_bowl,
-    solve_bowls,
     solve_grim_reaper,
-    solve_grim_reapers,
     solve_helicoid,
-    solve_helicoids,
+    solve_jobs,
 )
 from nil3trans.ode import (
     BLOW_UP_THRESHOLD,
@@ -190,7 +191,7 @@ class TestLanes:
         # a lane's result must not depend on the batch it runs in
         grid = [GrimReaperParams(lam, c) for lam in (0.5, 1.0, 4.0)
                 for c in (0.0, 1.0, 2.0)]
-        batch = solve_grim_reapers(grid, rtol=1e-13, atol=1e-15, derived=False)
+        [batch] = solve_jobs(grim_reapers_job(grid, rtol=1e-13, atol=1e-15, derived=False))
         for params, prof in zip(grid, batch):
             alone = solve_grim_reaper(params, rtol=1e-13, atol=1e-15, derived=False)
             for a, b in zip(prof.trajectories, alone.trajectories):
@@ -199,7 +200,7 @@ class TestLanes:
 
     def test_helicoid_lanes_match_single_solves(self):
         grid = [HelicoidParams(1.0, 0.5, 2.0), HelicoidParams(4.0, 2.0, 0.5)]
-        batch = solve_helicoids(grid, s_span=20.0, n_samples=801)
+        [batch] = solve_jobs(helicoids_job(grid, s_span=20.0, n_samples=801))
         for params, prof in zip(grid, batch):
             alone = solve_helicoid(params, s_span=20.0, n_samples=801)
             for a, b in zip(prof.trajectories, alone.trajectories):
@@ -209,7 +210,7 @@ class TestLanes:
 
     def test_bowl_lanes_match_single_solves(self):
         lams = (0.5, 1.0, 4.0, 9.0)
-        batch = solve_bowls(lams, 20.0, n_samples=300)
+        [batch] = solve_jobs(bowls_job(lams, 20.0, n_samples=300))
         for lam, prof in zip(lams, batch):
             alone = solve_bowl(lam, 20.0, n_samples=300)
             same_trajectory(prof.trajectories[0], alone.trajectories[0])
@@ -222,8 +223,9 @@ class TestLanes:
     def test_window_lanes_match_single_solves(self):
         lams, c, y_max = (10.0, 100.0, 1000.0), 0.5, 1.0
         ys = np.linspace(-y_max, y_max, 201)
-        for lam, gamma in zip(lams, grim_reapers_on_window(lams, c, y_max)):
-            alone = grim_reapers_on_window([lam], c, y_max)[0]
+        [windows] = solve_jobs(grim_windows_job(lams, c, y_max))
+        for lam, gamma in zip(lams, windows):
+            [[alone]] = solve_jobs(grim_windows_job([lam], c, y_max))
             assert np.array_equal(gamma(ys), alone(ys))
             assert np.array_equal(gamma(0.3), alone(0.3))
 
@@ -232,16 +234,17 @@ class TestLanes:
         # the grid reaches into |z| < 1e-4, where the apex Taylor branch is used
         zs = np.concatenate([np.linspace(-z_max, z_max, 101),
                              np.linspace(-2e-4, 2e-4, 41)])
-        for lam, (f, trajs) in zip(lams, catenoid_necks(lams, f0, z_max)):
-            alone, alone_trajs = catenoid_necks([lam], f0, z_max)[0]
+        [necks] = solve_jobs(necks_job(lams, f0, z_max))
+        for lam, (f, trajs) in zip(lams, necks):
+            [[(alone, alone_trajs)]] = solve_jobs(necks_job([lam], f0, z_max))
             for a, b in zip(trajs, alone_trajs):
                 same_trajectory(a, b)
             assert np.array_equal(f(zs), alone(zs))
 
     def test_batched_families_reject_empty_and_non_finite_lambdas(self):
-        calls = (lambda lams: solve_bowls(lams, 1.0),
-                 lambda lams: grim_reapers_on_window(lams, 0.0, 0.5),
-                 lambda lams: catenoid_necks(lams, 1.0, 0.5))
+        calls = (lambda lams: solve_jobs(bowls_job(lams, 1.0)),
+                 lambda lams: solve_jobs(grim_windows_job(lams, 0.0, 0.5)),
+                 lambda lams: solve_jobs(necks_job(lams, 1.0, 0.5)))
         for call in calls:
             with pytest.raises(ValueError, match="no lanes"):
                 call(())

@@ -14,14 +14,15 @@ from nil3trans.core import (
     vertical_translation_field,
 )
 from nil3trans.families import (
-    catenoid_necks,
     grim_reaper_closed_form,
     grim_reaper_jet,
     helicoid_patch_jet,
     neck_patch_jet,
+    necks_job,
     radial_graph_jet,
     slab,
     solve_bowl,
+    solve_jobs,
 )
 from nil3trans.surface import (
     GraphJet,
@@ -393,12 +394,31 @@ class TestArrayKernel:
     def test_patch_jets_from_neck_and_helicoid(self):
         rng = np.random.default_rng(59)
         lam, c = 2.3, 1.1
-        f, _ = catenoid_necks([lam], 0.8, 0.2)[0]
+        [[(f, _)]] = solve_jobs(necks_job([lam], 0.8, 0.2))
         jets = [neck_patch_jet(lam, float(z), *(float(v) for v in f(z)))
                 for z in np.linspace(-0.2, 0.2, 21)]
         for g1, g2, th in rng.uniform(-2.0, 2.0, (20, 3)):
             jets.append(helicoid_patch_jet(lam, c, float(g1), float(g2), float(th)))
         assert_array_kernel_exact(lam, jets, stack_patch_jets(jets), patch_shape)
+
+    def test_one_lambda_per_sample(self):
+        # a batch that mixes lambdas shapes each sample exactly as the call of
+        # its own lambda does
+        lams = np.repeat([1.0, 4.0, 0.5], 6)
+        pitches = np.tile([-3.0, -2.0, -1.0, 0.5, 1.0, 2.0], 3)
+        g1, g2, th = np.random.default_rng(61).uniform(-2.0, 2.0, (3, len(lams)))
+
+        def quantities(shape):
+            return (shape.H, *(x for form in (shape.g, shape.A) for row in form for x in row),
+                    *shape.normal.coeffs())
+
+        whole = quantities(patch_shape(lams, helicoid_patch_jet(lams, pitches, g1, g2, th)))
+        for lam in (1.0, 4.0, 0.5):
+            sel = lams == lam
+            alone = patch_shape(lam, helicoid_patch_jet(lam, pitches[sel], g1[sel], g2[sel],
+                                                        th[sel]))
+            for k, (a, b) in enumerate(zip(whole, quantities(alone))):
+                assert np.array_equal(a[sel], b), f"quantity {k} differs"
 
     def test_degenerate_sample_rejected(self):
         good = PatchJet(Point(0, 0, 0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0,) * 6, (0,) * 6)
