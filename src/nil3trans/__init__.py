@@ -41,7 +41,6 @@ from .ode import (
     Solution,
     Trajectory,
     integrate,
-    series_start,
 )
 from .asymptotics import (
     AsymptoticFit,

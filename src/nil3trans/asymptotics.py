@@ -299,7 +299,7 @@ def limit_grim_reaper_job(c: float):
     x, y = (v.ravel() for v in np.meshgrid(np.linspace(-2, 2, 7), np.linspace(-2, 2, 7),
                                           indexing="ij"))
     jet = GraphJet(x, y, 0.5 * x * y + c * x, 0.5 * y + c, 0.5 * x, 0.0, 0.5, 0.0)
-    h_sup = max(float(np.max(np.abs(graph_shape(lam, jet).H))) for lam in lams)
+    h_sup = float(np.max(np.abs(graph_shape(np.array(lams)[:, None], jet).H)))
     return LimitReport(
         "grim", lams, tuple(sups), rate,
         {"sup_gamma_prime": tuple(sups_p), "ratios": tuple(ratios),
@@ -405,9 +405,9 @@ def horizontal_mean_curvature(jet: GraphJet) -> HorizontalLimit:
     if is_characteristic(jet):
         return HorizontalLimit(True, None, None, None)
     a, b = jet.alpha, jet.beta
-    hs = [graph_shape(lam, jet).H for lam in HORIZONTAL_LAM_GRID]
+    hs = graph_shape(np.array(HORIZONTAL_LAM_GRID), jet).H
     vander = np.array([[1.0, 1.0 / lam, 1.0 / lam**2] for lam in HORIZONTAL_LAM_GRID])
-    h_inf, p, q = np.linalg.solve(vander, np.array(hs))
+    h_inf, p, q = np.linalg.solve(vander, hs)
     closed = (jet.u_xx * b * b + jet.u_yy * a * a - 2.0 * jet.u_xy * a * b) \
         / (a * a + b * b) ** 1.5
     return HorizontalLimit(

@@ -70,10 +70,11 @@ class FrameVector:
         )
 
 
-def metric(lam: float, v: FrameVector, w: FrameVector) -> float:
+def metric(lam, v: FrameVector, w: FrameVector) -> float:
     """Inner product g_lam(v, w); v and w must share the same base point.
 
     The frame (X, Y, lam^{-1/2} Z) is orthonormal, hence ||Z||^2 = lam.
+    ``lam`` may be an array, one lambda per sample (see ``_lam_value``).
     """
     lam = _lam_value(lam)
     if v.base != w.base:
@@ -81,9 +82,17 @@ def metric(lam: float, v: FrameVector, w: FrameVector) -> float:
     return v.cX * w.cX + v.cY * w.cY + lam * v.cZ * w.cZ
 
 
-def _lam_value(lam) -> float:
-    lam = float(lam)
-    if not 0.0 < lam < math.inf:
+def _lam_value(lam):
+    """``lam`` as a float, or as a float array when it is an array (one
+    lambda per sample); raises ValueError unless every element is positive
+    and finite."""
+    if np.ndim(lam) == 0:
+        lam = float(lam)
+        valid = 0.0 < lam < math.inf
+    else:
+        lam = np.asarray(lam, dtype=float)
+        valid = np.all((0.0 < lam) & (lam < math.inf))
+    if not valid:
         raise ValueError("lambda must be positive and finite")
     return lam
 
@@ -97,15 +106,9 @@ def connection_bilinear(lam, v_coeffs, w_coeffs):
                         (1/2)(a1 b2 - a2 b1) ).
     The full covariant derivative adds the directional derivative of the
     coefficients of w along v.  ``lam`` may be an array that broadcasts with
-    the coefficients, one lambda per sample; every element must be positive
-    and finite.
+    the coefficients, one lambda per sample.
     """
-    if np.ndim(lam) == 0:
-        lam = _lam_value(lam)
-    else:
-        lam = np.asarray(lam, dtype=float)
-        if not np.all((0.0 < lam) & (lam < math.inf)):
-            raise ValueError("lambda must be positive and finite")
+    lam = _lam_value(lam)
     a1, b1, c1 = v_coeffs
     a2, b2, c2 = w_coeffs
     return (
@@ -226,7 +229,9 @@ def covariant_derivative_fd(lam, field, v: FrameVector) -> FrameVector:
 
     ``field`` maps Point -> FrameVector.  The coefficient derivative is taken
     along the coordinate straight line with velocity v; step h = 1e-4 balances
-    truncation against round-off for 1e-6 test tolerances.
+    truncation against round-off for 1e-6 test tolerances.  ``lam``, the
+    coefficients of v and the coordinates of its base may be arrays, one
+    sample per element.
     """
     lam = _lam_value(lam)
     h = 1e-4

@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import ode
-from .core import KillingField, Point, killing_flow, vertical_translation_field
+from .core import KillingField, Point, _lam_value, killing_flow, vertical_translation_field
 from .surface import (
     GraphJet,
     PatchJet,
@@ -104,8 +104,7 @@ class GrimReaperParams:
     c: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.lam < math.inf:
-            raise ValueError("lambda must be positive and finite")
+        _lam_value(self.lam)
         if not 0.0 <= self.c < math.inf:
             raise ValueError("slope c must be non-negative and finite "
                              "(apply y -> -y for c < 0)")
@@ -288,6 +287,10 @@ def grim_windows_job(lams, c: float, y_max: float):
 # ---------------------------------------------------------------------------
 # rotationally invariant translators
 
+# distance from the singular point (the bowl's axis r = 0, the neck's apex
+# z = 0) at which the series starts hand over to the integrator
+SERIES_DELTA = 1e-4
+
 
 def rotational_rhs(lam: float, r, phi_p):
     """phi'' for the rotational graph z = phi(r); singular at r = 0."""
@@ -297,6 +300,15 @@ def rotational_rhs(lam: float, r, phi_p):
     return 1.0 / s + 4.0 * phi_p / (r * (4.0 + lam * r * r)) * (
         s * r * phi_p - 1.0 - lam * phi_p * phi_p
     )
+
+
+def bowl_series_start(lam: float):
+    """Second-order Taylor data (r, (phi, phi')) of the bowl at r =
+    SERIES_DELTA: the entire rotational graph is regular at the axis with
+    phi'/r -> 1/(2*sqrt(lam))."""
+    s = math.sqrt(_lam_value(lam))
+    delta = SERIES_DELTA
+    return delta, (delta * delta / (4.0 * s), delta / (2.0 * s))
 
 
 def radial_graph_jet(lam: float, r, phi, phi_p) -> GraphJet:
@@ -316,7 +328,7 @@ def solve_bowl(lam: float, r_max: float, n_samples: int = 1500,
                rtol: float = ode.DEFAULT_RTOL,
                atol: float = ode.DEFAULT_ATOL) -> ProfileCurve:
     """The entire rotational graph, regular at the axis via a series start."""
-    delta, (phi0, psi0) = ode.series_start("bowl-origin", lam)
+    delta, (phi0, psi0) = bowl_series_start(lam)
     if not r_max > delta:
         raise ValueError(f"r_max must exceed the series start r = {delta:g}")
     # kept on ode.integrate: the perfbench tracer counts ode.rhs_calls only
@@ -330,7 +342,7 @@ def solve_bowl(lam: float, r_max: float, n_samples: int = 1500,
 def bowls_job(lams, r_max: float, n_samples: int = 1500):
     """The bowl of each of ``lams``, as ``solve_bowl`` builds it; the bowls
     are asked for as one ``Lanes``."""
-    starts = [ode.series_start("bowl-origin", lam) for lam in lams]
+    starts = [bowl_series_start(lam) for lam in lams]
     deltas = [delta for delta, _ in starts]
     if not all(r_max > delta for delta in deltas):
         raise ValueError(f"r_max must exceed the series start r = {max(deltas):g}")
@@ -362,6 +374,22 @@ def catenoid_neck_rhs(lam: float, f, f_p):
     )
 
 
+def _apex_fpp(lam, f0):
+    """f''(0) of the neck profile with f(0) = f0 and f'(0) = 0."""
+    return 4.0 * lam / (f0 * (4.0 + lam * f0 * f0))
+
+
+def apex_series_start(lam: float, f0: float):
+    """Second-order Taylor data (z, (f, f')) of the neck at z = SERIES_DELTA:
+    f(0) = f0 > 0, f'(0) = 0 and f''(0) = 4*lam/(f0*(4 + lam*f0^2))."""
+    lam = _lam_value(lam)
+    if not 0.0 < f0 < math.inf:
+        raise ValueError("catenoid apex radius f0 must be positive and finite")
+    fpp0 = _apex_fpp(lam, f0)
+    delta = SERIES_DELTA
+    return delta, (f0 + 0.5 * fpp0 * delta * delta, fpp0 * delta)
+
+
 def _neck_lanes(z, state, lam):
     return state[1], catenoid_neck_rhs(lam, state[0], state[1])
 
@@ -372,7 +400,7 @@ def necks_job(lams, f0: float, z_max: float, rtol: float = ode.DEFAULT_RTOL,
     ``(f, (down, up))`` of a callable z -> (f, f') and the trajectories of
     the halves below and above the apex; the halves of every neck are asked
     for as one ``Lanes``, and ``f`` reads ``_apex_taylor`` between them."""
-    starts = [ode.series_start("catenoid-apex", lam, f0=f0) for lam in lams]
+    starts = [apex_series_start(lam, f0) for lam in lams]
     pairs = yield from _both_ways(_neck_lanes,
                                   [(-delta, -z_max, (f, -fp)) for delta, (f, fp) in starts],
                                   [(delta, z_max, (f, fp)) for delta, (f, fp) in starts],
@@ -383,9 +411,9 @@ def necks_job(lams, f0: float, z_max: float, rtol: float = ode.DEFAULT_RTOL,
 
 def _apex_taylor(lam, f0, z):
     """(f, f') of the neck by its third-order Taylor polynomial at the apex;
-    |z| < 1e-4 keeps the error ~1e-14."""
+    |z| < SERIES_DELTA keeps the error ~1e-14."""
     s = math.sqrt(lam)
-    fpp0 = 4.0 * lam / (f0 * (4.0 + lam * f0 * f0))
+    fpp0 = _apex_fpp(lam, f0)
     fppp0 = -4.0 * lam / (s * (4.0 + lam * f0 * f0)) * fpp0
     return np.column_stack([f0 + 0.5 * fpp0 * z**2 + fppp0 * z**3 / 6.0,
                             fpp0 * z + 0.5 * fppp0 * z**2])
@@ -515,8 +543,7 @@ class HelicoidParams:
     r0: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.lam < math.inf:
-            raise ValueError("lambda must be positive and finite")
+        _lam_value(self.lam)
         if self.pitch == 0 or not math.isfinite(self.pitch):
             raise ValueError("pitch must be nonzero and finite "
                              "(pitch 0 is the rotational case)")

@@ -1,10 +1,9 @@
-"""Adaptive Runge-Kutta integration of independent lanes with a blow-up
-stop, and series starts at singular points.
+"""Adaptive Runge-Kutta integration of independent lanes with a blow-up stop.
 
 The integrator is our own loop over the Dormand-Prince 8(5,3) pair with its
 7th-order dense output (Hairer, Norsett & Wanner, *Solving ODEs I*, sec.
 II.5, II.6 and II.10, and Hairer's ``dop853.f``), the higher-order choice for
-the tight tolerances the grim reaper closed-form comparison runs at.
+the tight tolerances (rtol 1e-13) of the closed-form comparisons.
 ``solve_ivp`` steps L independent initial value problems of one right-hand
 side ("lanes") together as arrays; each lane keeps its own step size, error
 norm, rejection state and stop, so a lane's result does not depend on the
@@ -14,15 +13,12 @@ is the one of HNW sec. II.4.  The global error of DOP853 per unit of
 ``rtol / RTOL_SAFETY``, but never below ``RTOL_FLOOR``.  Dense output is
 built on its first use, for all steps of a trajectory at once.  On top of
 the loop this module adds: typed problems with finite data, trajectories
-whose dense output refuses to extrapolate, the sup-norm blow-up stop (the
-one stopping rule the constructions need), and second-order Taylor starts
-for the two rotationally invariant families whose ODEs are singular at the
-axis.
+whose dense output refuses to extrapolate, and the sup-norm blow-up stop
+(the one stopping rule the constructions need).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -32,9 +28,10 @@ import numpy as np
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 BLOW_UP_THRESHOLD = 1e10
-# At rtol 1e-13 the grim reaper sup error over lam in [0.5, 4], c in [0, 2]
-# reaches 1.3e-8 under DOP853 against 3e-9 under the 5(4) pair; a quarter of
-# the caller's rtol brings it back to about 3e-9 for 20% more steps.
+# At rtol 1e-13 the sup error of verify's closed-form comparison (lam in
+# [0.5, 4], c in [0, 2]) reaches 1.3e-8 under DOP853 against 3e-9 under the
+# 5(4) pair; a quarter of the caller's rtol brings it back to about 3e-9 for
+# 20% more steps.
 RTOL_SAFETY = 4.0
 # the smallest relative tolerance the error estimate can resolve
 RTOL_FLOOR = 100.0 * np.finfo(float).eps
@@ -648,26 +645,3 @@ def integrate(problem: OdeProblem,
     return solve_ivp(problem.rhs, ([t0], [t1]), [problem.y0], rtol=problem.rtol,
                      atol=problem.atol, blow_up_threshold=blow_up_threshold).trajectories[0]
 
-
-def series_start(kind: str, lam: float, f0: float | None = None,
-                 delta: float = 1e-4):
-    """Second-order Taylor data stepping off a singular initial point.
-
-    ``bowl-origin``: the entire rotational graph is regular at the axis with
-    phi'/r -> 1/(2*sqrt(lam)); returns (delta, (phi, phi')).
-    ``catenoid-apex``: the neck profile f satisfies f(0) = f0 > 0, f'(0) = 0
-    with f''(0) = 4*lam/(f0*(4 + lam*f0^2)); returns (delta, (f, f')).
-    """
-    if not 0.0 < delta <= 1e-3:
-        raise ValueError("delta must lie in (0, 1e-3]")
-    if not 0.0 < lam < math.inf:
-        raise ValueError("lambda must be positive and finite")
-    if kind == "bowl-origin":
-        s = math.sqrt(lam)
-        return delta, (delta * delta / (4.0 * s), delta / (2.0 * s))
-    if kind == "catenoid-apex":
-        if f0 is None or not 0.0 < f0 < math.inf:
-            raise ValueError("catenoid apex radius f0 must be positive and finite")
-        fpp0 = 4.0 * lam / (f0 * (4.0 + lam * f0 * f0))
-        return delta, (f0 + 0.5 * fpp0 * delta * delta, fpp0 * delta)
-    raise ValueError(f"unknown series start kind {kind!r}")

@@ -32,7 +32,6 @@ from .core import (
     covariant_derivative_fd,
     group_inv,
     group_mul,
-    killing_eval,
     metric,
     sectional_curvature,
 )
@@ -86,21 +85,17 @@ def _check(name, anchor, expected, computed, tolerance, kind="abs"):
 def _core_kernel_checks():
     checks = []
     rng = np.random.default_rng(20260823)
-    pts = [Point(*rng.uniform(-3, 3, 3)) for _ in range(120)]
+    pts = rng.uniform(-3, 3, (120, 3))
 
-    assoc = 0.0
-    for p, q, r in zip(pts[::3], pts[1::3], pts[2::3]):
-        lhs = group_mul(group_mul(p, q), r)
-        rhs = group_mul(p, group_mul(q, r))
-        assoc = max(assoc, *(abs(a - b) for a, b in
-                             zip(lhs.coords(), rhs.coords())))
+    p, q, r = (Point(*pts[k::3].T) for k in range(3))
+    lhs = group_mul(group_mul(p, q), r)
+    rhs = group_mul(p, group_mul(q, r))
+    assoc = np.max(np.abs(np.subtract(lhs.coords(), rhs.coords())))
     checks.append(_check("group-associativity", "Nil3 group law",
                          0.0, assoc, 1e-12))
 
-    inv = 0.0
-    for p in pts[:40]:
-        e = group_mul(p, group_inv(p))
-        inv = max(inv, *(abs(c) for c in e.coords()))
+    p = Point(*pts[:40].T)
+    inv = np.max(np.abs(group_mul(p, group_inv(p)).coords()))
     checks.append(_check("group-inverse", "Nil3 group law", 0.0, inv, 1e-12))
 
     ortho = 0.0
@@ -138,19 +133,20 @@ def _core_kernel_checks():
                          "horizontal plane -3lam/4, vertical planes lam/4 (sec curv)",
                          0.0, sec, 1e-13))
 
-    # Killing identity g(nabla_u F, w) + g(nabla_w F, u) = 0, finite differences
-    kill = 0.0
-    fields = [KillingField(a1=1), KillingField(a2=1), KillingField(a3=1),
-              KillingField(a4=1), KillingField(a1=0.3, a2=-1.2, a3=0.7, a4=0.5)]
-    for lam in (0.5, 2.0):
-        for f in fields:
-            for _ in range(6):
-                p = Point(*rng.uniform(-2, 2, 3))
-                u = FrameVector(p, *rng.uniform(-1, 1, 3))
-                w = FrameVector(p, *rng.uniform(-1, 1, 3))
-                du = covariant_derivative_fd(lam, lambda q: killing_eval(f, q), u)
-                dw = covariant_derivative_fd(lam, lambda q: killing_eval(f, q), w)
-                kill = max(kill, abs(metric(lam, du, w) + metric(lam, dw, u)))
+    # Killing identity g(nabla_u F, w) + g(nabla_w F, u) = 0, finite
+    # differences: per lambda of (0.5, 2) and field of F1, F2, F3, F4 and one
+    # combination, six samples of a point p in [-2, 2]^3 and of u and w at p
+    # in [-1, 1]^3, drawn in that order
+    fields = np.vstack([np.eye(4), [0.3, -1.2, 0.7, 0.5]])
+    lams = np.repeat([0.5, 2.0], 30)
+    f = KillingField(*np.tile(np.repeat(fields, 6, axis=0), (2, 1)).T)
+    draws = rng.uniform([-2.0] * 3 + [-1.0] * 6, [2.0] * 3 + [1.0] * 6, (60, 9))
+    p = Point(*draws[:, :3].T)
+    u = FrameVector(p, *draws[:, 3:6].T)
+    w = FrameVector(p, *draws[:, 6:].T)
+    du = covariant_derivative_fd(lams, f, u)
+    dw = covariant_derivative_fd(lams, f, w)
+    kill = np.max(np.abs(metric(lams, du, w) + metric(lams, dw, u)))
     checks.append(_check("killing-identity",
                          "Killing basis F1..F4 of (Nil3, g_lam)",
                          0.0, kill, 1e-6))
@@ -207,14 +203,11 @@ def _grim_grid_job():
 
 def _curvature_checks(grim10):
     checks = []
-    sup0 = 0.0
-    for lam in (0.5, 1.0, 4.0):
-        for c in (0.0, 1.0, 2.0):
-            # at y = 0 the initial data gamma = gamma' = 0 are exact
-            jet = fam.grim_reaper_jet(lam, c, 0.0, 0.0, 0.0)
-            k0 = gaussian_curvature(graph_shape(lam, jet))
-            expected = -lam * (1 - lam * c * c) ** 2 / (4 * (1 + lam * c * c) ** 2)
-            sup0 = max(sup0, abs(k0 - expected))
+    # over the grim grid; at y = 0 the initial data gamma = gamma' = 0 are exact
+    lam, c = np.array(_GRIM_GRID).T
+    k0 = gaussian_curvature(graph_shape(lam, fam.grim_reaper_jet(lam, c, 0.0, 0.0, 0.0)))
+    expected = -lam * (1 - lam * c * c) ** 2 / (4 * (1 + lam * c * c) ** 2)
+    sup0 = np.max(np.abs(k0 - expected))
     checks.append(_check("grim-gaussian-at-origin",
                          "gaussian at y=0: -lam(1-lam c^2)^2/(4(1+lam c^2)^2)",
                          0.0, sup0, 1e-9))
@@ -532,8 +525,8 @@ def limits_suite(results):
     checks.append(_check("limit-bowl-psi-bound",
                          "sec. 4 Prop: |psi| <= C0 lam^(-1/6) (bound, constant from the grid)",
                          cs[0], max(cs[1:]), 1e-12, kind="le"))
-    plane_h = max(abs(graph_shape(lam, GraphJet(0.3, -0.7, 1.0, 0, 0, 0, 0, 0)).H)
-                  for lam in asym.BOWL_LIMIT_LAMS)
+    plane_h = np.max(np.abs(graph_shape(np.array(asym.BOWL_LIMIT_LAMS),
+                                        GraphJet(0.3, -0.7, 1.0, 0, 0, 0, 0, 0)).H))
     checks.append(_check("limit-plane-minimal",
                          "horizontal plane has H = 0 for every lam",
                          0.0, plane_h, 1e-12))

@@ -230,6 +230,33 @@ class TestKilling:
                     assert metric(lam, du, w) + metric(lam, dw, u) == \
                         pytest.approx(0.0, abs=1e-6)
 
+    def test_one_lambda_per_sample(self):
+        # metric and covariant_derivative_fd take an array lambda with array
+        # coefficients, equal to the per-sample scalar calls bit for bit;
+        # each element of lambda must be positive and finite
+        rng = np.random.default_rng(9)
+        lams = np.array([0.5, 1.0, 2.0, 4.0, 9.0])
+        f = KillingField(*rng.uniform(-1, 1, (4, 5)))
+        p = Point(*rng.uniform(-2, 2, (3, 5)))
+        u = FrameVector(p, *rng.uniform(-1, 1, (3, 5)))
+        w = FrameVector(p, *rng.uniform(-1, 1, (3, 5)))
+        du = covariant_derivative_fd(lams, f, u)
+        g = metric(lams, du, w)
+        for k, lam in enumerate(lams):
+            fk = KillingField(*(float(a[k]) for a in (f.a1, f.a2, f.a3, f.a4)))
+            pk = Point(*(float(c[k]) for c in p.coords()))
+            uk = FrameVector(pk, *(float(c[k]) for c in u.coeffs()))
+            wk = FrameVector(pk, *(float(c[k]) for c in w.coeffs()))
+            duk = covariant_derivative_fd(float(lam), fk, uk)
+            assert [c[k] for c in du.coeffs()] == list(duk.coeffs())
+            assert g[k] == metric(float(lam), duk, wk)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            bad_lams = np.array([1.0, bad, 4.0, 9.0, 2.0])
+            with pytest.raises(ValueError, match="positive and finite"):
+                metric(bad_lams, du, w)
+            with pytest.raises(ValueError, match="positive and finite"):
+                covariant_derivative_fd(bad_lams, f, u)
+
     def test_vertical_translation_field(self):
         lam = 4.0
         v = killing_eval(vertical_translation_field(lam), Point(1, 2, 3))

@@ -9,6 +9,8 @@ from nil3trans.families import (
     GrimReaperParams,
     HelicoidParams,
     GLUING_EPS_CAP,
+    apex_series_start,
+    bowl_series_start,
     catenoid_neck_rhs,
     grim_reaper_closed_form,
     grim_reaper_rhs,
@@ -234,6 +236,39 @@ class TestCatenoid:
         for f0 in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="f0 must be positive and finite"):
                 solve_jobs(necks_job([1.0], f0, 1.0))
+
+
+class TestSeriesStart:
+    def test_bowl_origin_slope(self):
+        delta, (phi, psi) = bowl_series_start(1.0)
+        assert psi / delta == pytest.approx(0.5, abs=1e-12)
+        assert phi == pytest.approx(0.25 * delta * delta, abs=1e-20)
+
+    def test_catenoid_apex_second_derivative(self):
+        # lam = 1, f0 = 1: f''(0) = 4/(1*(4+1)) = 4/5
+        delta, (f, fp) = apex_series_start(1.0, 1.0)
+        assert fp / delta == pytest.approx(0.8, abs=1e-12)
+        assert f == pytest.approx(1.0 + 0.4 * delta * delta, abs=1e-16)
+
+    def test_delta_robustness(self, monkeypatch):
+        # bowls solved from two different series offsets must agree downstream
+        ends = []
+        for delta in (1e-5, 1e-4):
+            monkeypatch.setattr(families, "SERIES_DELTA", delta)
+            prof = solve_bowl(1.0, 5.0, rtol=1e-12, atol=1e-14)
+            assert prof.t[0] == delta
+            ends.append(prof.trajectories[0].y_end[0])
+        assert abs(ends[0] - ends[1]) < 1e-7
+
+    def test_validation(self):
+        for lam in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                bowl_series_start(lam)
+            with pytest.raises(ValueError):
+                apex_series_start(lam, 1.0)
+        for f0 in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                apex_series_start(1.0, f0)
 
 
 class TestHelicoid:

@@ -27,7 +27,6 @@ from nil3trans.ode import (
     OdeProblem,
     Trajectory,
     integrate,
-    series_start,
 )
 
 
@@ -339,45 +338,3 @@ class TestStopLocation:
         assert gap(before) > 0 >= gap(after)
         assert abs(gap(t_stop)) <= min(abs(gap(before)), abs(gap(after)))
         assert np.array_equal(traj.y[-1], traj(t_stop))
-
-
-class TestSeriesStart:
-    def test_bowl_origin_slope(self):
-        delta, (phi, psi) = series_start("bowl-origin", 1.0)
-        assert psi / delta == pytest.approx(0.5, abs=1e-12)
-        assert phi == pytest.approx(0.25 * delta * delta, abs=1e-20)
-
-    def test_catenoid_apex_second_derivative(self):
-        # lam = 1, f0 = 1: f''(0) = 4/(1*(4+1)) = 4/5
-        delta, (f, fp) = series_start("catenoid-apex", 1.0, f0=1.0)
-        assert fp / delta == pytest.approx(0.8, abs=1e-12)
-        assert f == pytest.approx(1.0 + 0.4 * delta * delta, abs=1e-16)
-
-    def test_delta_robustness(self):
-        # integrating from two different series offsets must agree downstream
-        from nil3trans.families import rotational_rhs
-
-        lam = 1.0
-        ends = []
-        for delta in (1e-5, 1e-4):
-            d, start = series_start("bowl-origin", lam, delta=delta)
-            traj = integrate(OdeProblem(
-                lambda r, s: (s[1], rotational_rhs(lam, r, s[1])),
-                start, (d, 5.0), rtol=1e-12, atol=1e-14))
-            ends.append(traj.y_end[0])
-        assert abs(ends[0] - ends[1]) < 1e-7
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            series_start("bowl-origin", 1.0, delta=0.0)
-        with pytest.raises(ValueError):
-            series_start("bowl-origin", 1.0, delta=1e-2)
-        for lam in (-1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                series_start("bowl-origin", lam)
-        with pytest.raises(ValueError):
-            series_start("catenoid-apex", 1.0)  # missing f0
-        with pytest.raises(ValueError):
-            series_start("catenoid-apex", 1.0, f0=-1.0)
-        with pytest.raises(ValueError):
-            series_start("unknown", 1.0)

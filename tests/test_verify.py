@@ -88,7 +88,7 @@ def test_run_suite_solves_each_shared_profile_once(monkeypatch):
     assert verify.run_suite("all")["passed"]
     assert len(set(lanes)) == len(lanes)
     bowl_1_200 = [lane for lane in lanes if lane[0] is families._rotational_lanes
-                  and lane[2:] == (200.0, ode.series_start("bowl-origin", 1.0)[1], 1.0,
+                  and lane[2:] == (200.0, families.bowl_series_start(1.0)[1], 1.0,
                                    ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)]
     helicoid_1_1_1 = [lane for lane in lanes if lane[0] is families._helicoid_lanes
                       and lane[3:6] == ((1.0, 0.0, 0.5 * np.pi), 1.0, 1.0)]
