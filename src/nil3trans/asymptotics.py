@@ -119,25 +119,21 @@ def fit_rotational_asymptotics(lam: float, arm: ProfileCurve) -> AsymptoticFit:
     q = psi - r / s
     regime = classify_regime(lam)
     window = (float(r[0]), float(r[-1]))
-    details = {"barrier_root": barrier_root(lam)}
 
     if regime == SUBCRITICAL:
         slope, intercept = np.polyfit(np.log(r), rho, 1)
         fitted = slope * np.log(r) + intercept
         rel = _normalized_rms(rho, fitted)
         expected = -4.0 / (s * (4.0 - lam))
-        details["eta_mean"] = float(np.mean(q * r))
-        return AsymptoticFit(regime, float(slope), expected, window, rel,
-                             details=details)
+        return AsymptoticFit(regime, float(slope), expected, window, rel)
 
     if regime == CRITICAL:
         eta = q * r
         zeta, intercept = np.polyfit(np.log(r), eta, 1)
         fitted = zeta * np.log(r) + intercept
         rel = _normalized_rms(eta, fitted)
-        details["zeta"] = float(zeta)
         return AsymptoticFit(regime, 2.0 * float(zeta), -1.0, window, rel,
-                             details=details)
+                             details={"zeta": float(zeta)})
 
     e0 = 1.0 - 4.0 / lam
 
@@ -152,10 +148,9 @@ def fit_rotational_asymptotics(lam: float, arm: ProfileCurve) -> AsymptoticFit:
                     e0 - 0.5, min(e0 + 0.5, 0.999))
     (c1, c2), fitted = linear_fit(e)
     rel = _normalized_rms(q, fitted)
-    details.update({"C2": float(c2), "C0": float(c1) / e})
     # the printed expansion asserts only the exponent; C0 depends on the datum
     return AsymptoticFit(regime, e, e0, window, rel, exponent=e,
-                         details=details)
+                         details={"C2": float(c2), "C0": float(c1) / e})
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -208,7 +203,8 @@ def grim_endpoint_fit(lam: float, c: float, profile: ProfileCurve) -> dict:
     Near the right endpoint b the profile satisfies
     gamma(y) ~ -(1 + lam*(c + b)^2)/sqrt(lam) * log(b - y); the left endpoint
     is analogous.  The fit is a least-squares slope of gamma against
-    log(distance) over the last resolved decade before termination.
+    log(distance to ``grim_pole``) over the last resolved decade before
+    termination.
     """
     if profile.family != "grim":
         raise ValueError("endpoint fit applies to grim reaper profiles")
@@ -216,22 +212,11 @@ def grim_endpoint_fit(lam: float, c: float, profile: ProfileCurve) -> dict:
         raise ValueError("profile must terminate by blow-up at both ends")
     s = math.sqrt(lam)
     out = {}
-    for side, traj, endpoint in (
-        ("b", profile.trajectories[1], profile.diagnostics["b_numeric"]),
-        ("a", profile.trajectories[0], profile.diagnostics["a_numeric"]),
-    ):
-        sign = 1.0 if side == "b" else -1.0
-        dist = np.geomspace(1e-6, 1e-5, 200)
-        ys = endpoint - sign * dist
-        # the recorded endpoint stops where gamma' hits the blow-up threshold,
-        # short of the true pole by ~coefficient/threshold; refine it from the
-        # local model 1/gamma' = (b - y)/A, which is linear through the pole
-        inv_gp = sign / traj(ys)[:, 1]
-        slope_inv, icpt_inv = np.polyfit(ys, inv_gp, 1)
-        endpoint = -icpt_inv / slope_inv
+    for side, traj, sign in (("b", profile.trajectories[1], 1.0),
+                             ("a", profile.trajectories[0], -1.0)):
+        endpoint, ys, states = grim_pole(traj, sign)
         dist = sign * (endpoint - ys)
-        gamma = traj(ys)[:, 0]
-        slope, _ = np.polyfit(np.log(dist), gamma, 1)
+        slope, _ = np.polyfit(np.log(dist), states[:, 0], 1)
         fitted = -float(slope)
         predicted = (1.0 + lam * (c + endpoint) ** 2) / s
         out[side] = EndpointFit(
@@ -240,6 +225,18 @@ def grim_endpoint_fit(lam: float, c: float, profile: ProfileCurve) -> dict:
             abs(fitted / predicted - 1.0),
         )
     return out
+
+
+def grim_pole(traj, sign: float):
+    """The pole of gamma' past the blow-up stop of a grim reaper half (sign
+    1 up to b, -1 down to a), the points ys before the stop and the states
+    there.  The stop falls short of the pole by ~coefficient/threshold; near
+    the pole 1/gamma' = (b - y)/A is linear, so the line fitted to 1/gamma'
+    at 200 ys from 1e-6 to 1e-5 before the stop meets zero at the pole."""
+    ys = traj.t_end - sign * np.geomspace(1e-6, 1e-5, 200)
+    states = traj(ys)
+    slope, icpt = np.polyfit(ys, sign / states[:, 1], 1)
+    return -icpt / slope, ys, states
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, 200.0, "maximal arm radius r_max")
 
     p = sub.add_parser("helicoid", help="helicoidal translator")
-    p.add_argument("--pitch", type=float, default=1.0, help="pitch c != 0")
+    p.add_argument("--pitch", type=float, default=1.0,
+                   help="pitch c != 0 (pass a negative exponent form as --pitch=-1e-3)")
     p.add_argument("--r0", type=float, default=1.0,
                    help="distance of the generating curve from the origin")
     add_common(p, 50.0, "arc-length span of each arm, at most 1e4")

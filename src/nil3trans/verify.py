@@ -177,9 +177,9 @@ def _grim_grid_job():
         mask = (prof.t >= lo) & (prof.t <= hi)
         closed = fam.grim_reaper_closed_form(lam, c, prof.t[mask])
         sup_cf = np.max(np.abs(prof.data["gamma_prime"][mask] - closed), initial=sup_cf)
-        sup_end = max(sup_end,
-                      abs(prof.diagnostics["a_numeric"] - sl.a_endpoint),
-                      abs(prof.diagnostics["b_numeric"] - sl.b_endpoint))
+        down, up = prof.trajectories
+        sup_end = max(sup_end, abs(asym.grim_pole(down, -1.0)[0] - sl.a_endpoint),
+                      abs(asym.grim_pole(up, 1.0)[0] - sl.b_endpoint))
         # Thm 1.1(2)'s width against the endpoints of Thm 3.1(2)
         sup_width = max(sup_width, abs(sl.width - (sl.b_endpoint - sl.a_endpoint)))
     checks.append(_check("grim-closed-form-sup-error",
@@ -322,10 +322,11 @@ def _polyline_embedded(cat) -> bool:
 
 def _bowl_checks(prof, axis_bowls):
     checks = []
-    sup_origin = 0.0
-    for lam, bowl in zip(_BOWL_AXIS_LAMS, axis_bowls):
-        psi = bowl.trajectories[0](1e-3)[1]
-        sup_origin = max(sup_origin, abs(psi / 1e-3 - 1.0 / (2.0 * math.sqrt(lam))))
+    # psi/r = 1/(2 sqrt(lam)) + O(r^2): one Richardson step removes the r^2 term
+    rs = np.array([1e-3, 2e-3])
+    g = np.array([bowl.trajectories[0](rs)[:, 1] / rs for bowl in axis_bowls])
+    sup_origin = np.max(np.abs((4.0 * g[:, 0] - g[:, 1]) / 3.0
+                               - 1.0 / (2.0 * np.sqrt(_BOWL_AXIS_LAMS))))
     checks.append(_check("bowl-axis-regularity",
                          "bowl condition psi/r -> 1/(2 sqrt(lam)) at r -> 0",
                          0.0, sup_origin, 1e-6))

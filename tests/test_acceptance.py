@@ -182,6 +182,17 @@ def test_criterion_10_determinism_and_runtime(suite):
            f"{elapsed:.0f} s (< 180 s)")
 
 
+def test_endpoint_and_axis_records_measure_the_limits(suite):
+    """grim-blow-up-endpoints compares the slab endpoints with the poles
+    refined from 1/gamma' (``asymptotics.grim_pole``), not with the stops at
+    the blow-up threshold (4.4e-7), and bowl-axis-regularity takes one
+    Richardson step in r (7.8e-8 for psi/r at r = 1e-3 alone): both read
+    at most 1e-9."""
+    _, records, _ = suite
+    for value in computed(records, "grim-blow-up-endpoints", "bowl-axis-regularity"):
+        assert value <= 1e-9
+
+
 def test_records_are_resolved_by_the_solver(suite, monkeypatch):
     """Every record is a property of the paper's objects, not of the solver:
     a run 16x tighter (RTOL_SAFETY 4 -> 64, floored at RTOL_FLOOR) flips no

@@ -383,3 +383,15 @@ class TestDomainSweep:
     @settings(max_examples=30, deadline=5000)
     def test_grim_lambda_and_slope(self, lam, c):
         self.check(["grim", "--lambda", repr(lam), "--c", repr(c)])
+
+    # argparse reads an exponent-form negative value such as "-1e-3" as an
+    # option, hence --pitch=value
+    @given(_log_uniform(-12, 6),
+           st.tuples(st.sampled_from((1.0, -1.0)), _log_uniform(-12, 6)).map(
+               lambda sp: sp[0] * sp[1]),
+           st.one_of(st.just(0.0), _log_uniform(-12, 6)),
+           _log_uniform(-3, math.log10(50.0)))
+    @settings(max_examples=30, deadline=5000)
+    def test_helicoid_domain(self, lam, pitch, r0, span):
+        self.check(["helicoid", "--lambda", repr(lam), f"--pitch={pitch!r}",
+                    "--r0", repr(r0), "--span", repr(span)])
