@@ -82,7 +82,6 @@ class AsymptoticFit:
     expected: float
     window: tuple
     rel_residual: float
-    exponent: float | None = None
     details: dict = field(default_factory=dict)
 
 
@@ -108,10 +107,10 @@ def fit_rotational_asymptotics(lam: float, arm: ProfileCurve) -> AsymptoticFit:
     Subcritical: least-squares slope of rho = phi - r^2/(2*sqrt(lam)) against
     log r.  Critical: slope zeta of eta = (psi - r/2)*r against log r, with
     the log^2 coefficient reported as 2*zeta.  Supercritical: constant-free
-    fit of psi - r/sqrt(lam) = C1*r^(e-1) + C2/r giving exponent e and
-    C0 = C1/e; e is searched on [e0 - 1/2, min(e0 + 1/2, 0.999)] around
-    e0 = 1 - 4/lam, and RuntimeError is raised when the best e lies on an
-    end of that bracket.
+    fit of psi - r/sqrt(lam) = C1*r^(e-1) + C2/r giving exponent e (the
+    fit's ``coefficient``) and C0 = C1/e; e is searched on
+    [e0 - 1/2, min(e0 + 1/2, 0.999)] around e0 = 1 - 4/lam, and
+    RuntimeError is raised when the best e lies on an end of that bracket.
     """
     r, phi, psi = _arm_samples(arm)
     s = math.sqrt(lam)
@@ -149,7 +148,7 @@ def fit_rotational_asymptotics(lam: float, arm: ProfileCurve) -> AsymptoticFit:
     (c1, c2), fitted = linear_fit(e)
     rel = _normalized_rms(q, fitted)
     # the printed expansion asserts only the exponent; C0 depends on the datum
-    return AsymptoticFit(regime, e, e0, window, rel, exponent=e,
+    return AsymptoticFit(regime, e, e0, window, rel,
                          details={"C2": float(c2), "C0": float(c1) / e})
 
 
@@ -190,7 +189,6 @@ def _normalized_rms(data, fitted) -> float:
 
 @dataclass
 class EndpointFit:
-    side: str  # "a" (left) or "b" (right)
     fitted: float
     predicted: float
     window: tuple
@@ -219,11 +217,8 @@ def grim_endpoint_fit(lam: float, c: float, profile: ProfileCurve) -> dict:
         slope, _ = np.polyfit(np.log(dist), states[:, 0], 1)
         fitted = -float(slope)
         predicted = (1.0 + lam * (c + endpoint) ** 2) / s
-        out[side] = EndpointFit(
-            side, fitted, predicted,
-            (float(dist[0]), float(dist[-1])),
-            abs(fitted / predicted - 1.0),
-        )
+        out[side] = EndpointFit(fitted, predicted, (float(dist[0]), float(dist[-1])),
+                                abs(fitted / predicted - 1.0))
     return out
 
 
@@ -382,7 +377,6 @@ class HorizontalLimit:
     value: float | None
     closed_form: float | None
     residual: float | None
-    samples: dict = field(default_factory=dict)
 
 
 # the three lambdas of the horizontal mean curvature's extrapolation
@@ -407,7 +401,4 @@ def horizontal_mean_curvature(jet: GraphJet) -> HorizontalLimit:
     h_inf, p, q = np.linalg.solve(vander, hs)
     closed = (jet.u_xx * b * b + jet.u_yy * a * a - 2.0 * jet.u_xy * a * b) \
         / (a * a + b * b) ** 1.5
-    return HorizontalLimit(
-        False, float(h_inf), float(closed), abs(float(h_inf) - closed),
-        {"lam_grid": HORIZONTAL_LAM_GRID, "H_values": tuple(float(h) for h in hs)},
-    )
+    return HorizontalLimit(False, float(h_inf), float(closed), abs(float(h_inf) - closed))

@@ -18,6 +18,7 @@ import numpy as np
 from . import asymptotics as asym
 from . import exports
 from . import families as fam
+from . import ode
 from . import verify as verify_mod
 
 
@@ -32,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                        help="metric parameter lambda > 0")
         p.add_argument("--span", type=float, default=span_default, help=span_help)
-        p.add_argument("--rtol", type=float, default=1e-10)
-        p.add_argument("--atol", type=float, default=1e-12)
+        p.add_argument("--rtol", type=float, default=ode.DEFAULT_RTOL)
+        p.add_argument("--atol", type=float, default=ode.DEFAULT_ATOL)
         p.add_argument("--format", choices=("csv", "obj", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -146,16 +147,11 @@ def _run_limits(args) -> int:
     grim, bowl, cat = fam.solve_jobs(asym.limit_grim_reaper_job(args.c),
                                      asym.limit_bowl_job(),
                                      asym.limit_catenoid_job(args.f0))
-    report = {}
-    for rep in (grim, bowl, cat):
-        report[rep.family] = {
-            "lam_grid": list(rep.lam_grid),
-            "errors": list(rep.errors),
-            "decay_rate": rep.decay_rate,
-            "strictly_decreasing": rep.strictly_decreasing,
-            "details": {k: (list(v) if isinstance(v, tuple) else v)
-                        for k, v in rep.details.items()},
-        }
+    report = {rep.family: {"lam_grid": rep.lam_grid, "errors": rep.errors,
+                           "decay_rate": rep.decay_rate,
+                           "strictly_decreasing": rep.strictly_decreasing,
+                           "details": rep.details}
+              for rep in (grim, bowl, cat)}
     _emit(exports.report_text(report), args.out)
     ok = all(report[f]["strictly_decreasing"] for f in report)
     return 0 if ok else 1

@@ -79,7 +79,7 @@ def metric(lam, v: FrameVector, w: FrameVector) -> float:
     lam = _lam_value(lam)
     if v.base != w.base:
         raise ValueError("frame vectors have different base points")
-    return v.cX * w.cX + v.cY * w.cY + lam * v.cZ * w.cZ
+    return _dot(lam, v.coeffs(), w.coeffs())
 
 
 def _lam_value(lam):

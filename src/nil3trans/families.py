@@ -89,7 +89,7 @@ class Mesh:
 
     vertices: np.ndarray  # (n, 3)
     faces: np.ndarray  # (m, 4) 1-based quad vertex indices
-    scalars: dict  # per-vertex arrays, e.g. H / residual / K_gauss
+    scalars: dict  # per-vertex arrays: H, when the profile has an H column
     closed: bool
     shape: tuple  # (n_profile, n_sweep)
 
@@ -217,12 +217,12 @@ def _both_ways(rhs, down, up, args, rtol: float = ode.DEFAULT_RTOL,
 
     ``down`` and ``up`` give each curve's two halves as ``(t0, t1, y0)``, and
     ``args`` holds one value sequence per curve.  All halves are asked for
-    as one ``Lanes``, (up, down) per curve; the result is one ``(down, up)``
+    as one ``Lanes``, (down, up) per curve; the result is one ``(down, up)``
     trajectory pair per curve.
     """
-    problems = [half for pair in zip(up, down) for half in pair]
+    problems = [half for pair in zip(down, up) for half in pair]
     trajs = yield Lanes(rhs, problems, tuple(np.repeat(a, 2) for a in args), rtol, atol)
-    return [(trajs[i + 1], trajs[i]) for i in range(0, len(trajs), 2)]
+    return list(zip(trajs[::2], trajs[1::2]))
 
 
 def _joined(down, up, middle=None):
@@ -435,6 +435,13 @@ def neck_patch_jet(lam: float, z, f, f_p, v2: float = 0.0) -> PatchJet:
 # upper bound on the gluing offset eps of the catenoid neck
 GLUING_EPS_CAP = 0.1
 
+# samples of each catenoid arm and of the neck; the odd neck count puts a
+# sample exactly at z = 0.  Each junction is sampled twice, at the same
+# (r, z): by the arm at profile index n_arm - 1 or n_arm + n_neck, and by the
+# neck next to it
+CATENOID_ARM_SAMPLES = 700
+CATENOID_NECK_SAMPLES = 201
+
 
 def _gluing_offset(lam, f):
     """Largest eps <= GLUING_EPS_CAP with f'' > 0 and f' strictly monotone on
@@ -488,7 +495,7 @@ def catenoid_job(lam: float, f0: float, r_max: float = 200.0,
 
     # sample the curve in order: lower arm from large r down, neck bottom to
     # top, upper arm up; the two arms share one graph kernel call
-    n_arm, n_neck = 700, 201  # odd neck count puts a sample exactly at z = 0
+    n_arm, n_neck = CATENOID_ARM_SAMPLES, CATENOID_NECK_SAMPLES
     rs = np.concatenate([np.geomspace(arm_m.t[0], r_max, n_arm)[::-1],
                          np.geomspace(arm_p.t[0], r_max, n_arm)])
     arms = np.vstack([arm_m(rs[:n_arm]), arm_p(rs[n_arm:])])
@@ -655,20 +662,20 @@ def _helicoid_profile(params, s_span, n_samples, down, up) -> ProfileCurve:
             "r2": tau * tau + nu * nu, "k": helicoid_curvature(lam, c, tau, nu)}
     jet = helicoid_patch_jet(lam, c, g1, g2, th)
     cols.update(_shape_columns(lam, patch_shape(lam, jet)))
-    winding = np.unwrap(np.arctan2(cols["gamma2"], cols["gamma1"]))
-    diag = {"winding": winding, **_counters(down, up)}
     return ProfileCurve(
         "helicoid", {"lam": lam, "pitch": c, "r0": r0, "s_span": s_span},
-        cols, [down, up], diag)
+        cols, [down, up], _counters(down, up))
 
 
-def helicoid_kprime_numerator(lam: float, c: float, tau: float, nu: float) -> float:
-    """Numerator of k' at points where k vanishes; negative for |s| large."""
-    s = math.sqrt(lam)
-    return (-3.0 * lam * tau * tau * nu * nu
+def helicoid_kprime_numerator(lam, c, tau, nu):
+    """Numerator of k' at points where k vanishes; negative for |s| large.
+    Every argument may be an array."""
+    s = np.sqrt(lam)
+    tt = tau * tau
+    return (-3.0 * lam * tt * nu * nu
             - 4.0 * lam * s * c * tau * nu
-            - 5.0 * lam * tau**4
-            + 12.0 * (lam * c - 1.0) * tau * tau
+            - 5.0 * lam * tt * tt
+            + 12.0 * (lam * c - 1.0) * tt
             - 4.0 * lam * c * c)
 
 
@@ -813,16 +820,15 @@ _SWEEPS = {
 }
 
 
-def _adaptive_indices(pts, scalars, n: int):
-    """Profile subsampling uniform in arc length + curvature weight."""
+def _adaptive_indices(pts, data, n: int):
+    """Profile subsampling uniform in arc length + curvature weight, the
+    weight read from the ``K_gauss`` or else the ``curvature`` column of the
+    profile's ``data``."""
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     weight = seg.copy()
-    curv = None
-    for key in ("K_gauss", "curvature"):
-        if key in scalars:
-            curv = np.abs(scalars[key])
-            break
-    if curv is not None:
+    key = next((k for k in ("K_gauss", "curvature") if k in data), None)
+    if key is not None:
+        curv = np.abs(data[key])
         cmax = np.max(curv) or 1.0
         weight *= 1.0 + 4.0 * 0.5 * (curv[:-1] + curv[1:]) / cmax
     cum = np.concatenate([[0.0], np.cumsum(weight)])
@@ -845,11 +851,8 @@ def sweep_surface(profile: ProfileCurve, sweep_range: tuple | None = None) -> Me
         gen = replace(gen, a3=gen.a3 + profile.params[slope])
     d = profile.data
     pts = np.column_stack([d[k] if k else np.zeros_like(profile.t) for k in columns])
-    scalars = {k: d[k] for k in ("H", "residual", "K_gauss", "K_intrinsic", "curvature")
-               if k in d}
-    idx = _adaptive_indices(pts, scalars, SWEEP_PROFILE_POINTS)
+    idx = _adaptive_indices(pts, d, SWEEP_PROFILE_POINTS)
     pts = pts[idx]
-    scalars = {k: v[idx] for k, v in scalars.items()}
     n_profile, n_sweep = len(pts), SWEEP_RINGS
 
     closed = gen == _F4
@@ -874,6 +877,6 @@ def sweep_surface(profile: ProfileCurve, sweep_range: tuple | None = None) -> Me
     i = np.arange(1, n_profile)
     faces = np.stack([ring + i, ring + i + 1, next_ring + i + 1, next_ring + i],
                      axis=-1).reshape(-1, 4)
-    tiled = {k: np.tile(v, n_sweep) for k, v in scalars.items()}
-    return Mesh(vertices=verts.reshape(-1, 3), faces=faces, scalars=tiled,
+    scalars = {"H": np.tile(d["H"][idx], n_sweep)} if "H" in d else {}
+    return Mesh(vertices=verts.reshape(-1, 3), faces=faces, scalars=scalars,
                 closed=closed, shape=(n_profile, n_sweep))

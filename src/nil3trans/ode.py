@@ -13,8 +13,9 @@ is the one of HNW sec. II.4.  The global error of DOP853 per unit of
 ``rtol / RTOL_SAFETY``, but never below ``RTOL_FLOOR``.  Dense output is
 built on its first use, for all steps of a trajectory at once.  On top of
 the loop this module adds: typed problems with finite data, trajectories
-whose dense output refuses to extrapolate, and the sup-norm blow-up stop
-(the one stopping rule the constructions need).
+whose dense output refuses to extrapolate, the sup-norm blow-up stop
+(the one stopping rule the constructions need) and a cap on the step
+attempts of a call.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ import numpy as np
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 BLOW_UP_THRESHOLD = 1e10
+# the most step attempts of one call, counted on its slowest lane: a verify
+# run's calls make at most about 560, and 5000 attempts are a few seconds of
+# work, so a run that would take minutes (a small-lambda rotational arm out
+# to a large radius) fails instead
+MAX_ATTEMPTS = 5000
 # At rtol 1e-13 the sup error of verify's closed-form comparison (lam in
 # [0.5, 4], c in [0, 2]) reaches 1.3e-8 under DOP853 against 3e-9 under the
 # 5(4) pair; a quarter of the caller's rtol brings it back to about 3e-9 for
@@ -321,14 +327,20 @@ class Trajectory:
         return self._dense
 
     def __call__(self, t):
-        """Dense-output evaluation on [t[0], t[-1]]; accepts scalars or arrays."""
+        """Dense-output evaluation on [t[0], t[-1]]; accepts scalars or arrays.
+
+        A request it cannot serve raises ``ValueError``, or ``RuntimeError``
+        after a step underflow: the integrator failed there, and the
+        solution may well exist beyond.
+        """
+        error = RuntimeError if self.termination == "step_underflow" else ValueError
         if self.dense is None:
-            raise ValueError("trajectory has no dense output")
+            raise error(f"trajectory has no dense output ({self.termination})")
         lo, hi = sorted((self.t[0], self.t[-1]))
         ts = np.asarray(t, dtype=float)
         if not (np.all(ts >= lo) and np.all(ts <= hi)):
-            raise ValueError(f"dense output requested outside the integrated "
-                             f"range [{lo:.6g}, {hi:.6g}] ({self.termination})")
+            raise error(f"dense output requested outside the integrated "
+                        f"range [{lo:.6g}, {hi:.6g}] ({self.termination})")
         h, coef = self.dense
         tt = ts.reshape(-1)
         # a sample time belongs to the step that ends there
@@ -454,8 +466,7 @@ def _initial_step(rhs, args, t0, y0, f0, t_bound, direction, rtol, atol):
     return np.minimum(np.minimum(100 * h0, h1), interval)
 
 
-def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-              blow_up_threshold: float = BLOW_UP_THRESHOLD) -> Solution:
+def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> Solution:
     """Integrate L independent lanes y' = rhs(t, y, *args) with DOP853.
 
     ``y0`` has shape (L, n), ``t_span`` is a pair of length-L arrays (start
@@ -466,11 +477,12 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     drop out, and their ``args`` and tolerances with them.
 
     A lane ends at its span end (``span_end``), once the sup-norm of its
-    state reaches ``blow_up_threshold`` (``blow_up``; the crossing is
+    state reaches ``BLOW_UP_THRESHOLD`` (``blow_up``; the crossing is
     located on the step interpolant and replaces the last step sample), or
     when its step falls under 10 ulp of t (``step_underflow``).  Each
     trajectory keeps what the interpolants of its steps need and builds them
-    on first use.
+    on first use.  ``RuntimeError`` is raised when a lane is still running
+    after ``MAX_ATTEMPTS`` step attempts.
     """
     t = np.array(t_span[0], dtype=float).reshape(-1)
     t_bound = np.array(t_span[1], dtype=float).reshape(-1)
@@ -496,7 +508,7 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     rejected = np.zeros(n_lanes, dtype=bool)
     # the stop fires when max|y| reaches the threshold from below
     ay = np.abs(y)
-    armed = ay.max(0) <= blow_up_threshold
+    armed = ay.max(0) <= BLOW_UP_THRESHOLD
     status = ["span_end"] * n_lanes
     stops = {}
     # per iteration, of the accepted steps: lanes, t_new, y_new, h, f_new and
@@ -526,6 +538,9 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                     break
                 min_step = min_step[~under]
         iteration += 1
+        if iteration > MAX_ATTEMPTS:
+            raise RuntimeError(f"{len(lanes)} of {n_lanes} lanes did not finish "
+                               f"within {MAX_ATTEMPTS} step attempts")
         t_new = t + np.maximum(h_abs, min_step) * direction
         at_end = direction * (t_new - t_bound) >= 0
         t_new = np.where(at_end, t_bound, t_new)
@@ -557,7 +572,7 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                       f_new[:, sel], acc[N_STAGES + 1:, :, sel]))
 
         peak = ay_new.max(0)
-        crossed = armed & (peak >= blow_up_threshold)
+        crossed = armed & (peak >= BLOW_UP_THRESHOLD)
         done = crossed | at_end
         if not all_ok:
             crossed &= ok
@@ -568,19 +583,19 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                                 y[:, crossed], f[:, crossed], y_new[:, crossed],
                                 f_new[:, crossed], acc[N_STAGES + 1:, :, crossed])
             t_stop, y_stop = _locate_stop(coef, t[crossed], t_new[crossed], h[crossed],
-                                          y[:, crossed], blow_up_threshold)
+                                          y[:, crossed], BLOW_UP_THRESHOLD)
             for i, lane in enumerate(lanes[crossed]):
                 status[lane] = "blow_up"
                 stops[lane] = (t_stop[i], y_stop[:, i])
 
         if all_ok:
-            t, y, ay, f, armed = t_new, y_new, ay_new, f_new, peak <= blow_up_threshold
+            t, y, ay, f, armed = t_new, y_new, ay_new, f_new, peak <= BLOW_UP_THRESHOLD
         else:
             t = np.where(ok, t_new, t)
             y = np.where(ok, y_new, y)
             ay = np.where(ok, ay_new, ay)
             f = np.where(ok, f_new, f)
-            armed = np.where(ok, peak <= blow_up_threshold, armed)
+            armed = np.where(ok, peak <= BLOW_UP_THRESHOLD, armed)
         if n_done:
             drop(~done, iteration)
 
@@ -637,11 +652,10 @@ def _dense_output(rhs, args, t, h, y, f, y_new, f_new, acc):
     return h, np.ascontiguousarray(coef.transpose(0, 2, 1))
 
 
-def integrate(problem: OdeProblem,
-              blow_up_threshold: float = BLOW_UP_THRESHOLD) -> Trajectory:
+def integrate(problem: OdeProblem) -> Trajectory:
     """Integrate ``problem`` as a single lane, with dense output, stopping on
     blow-up (see ``solve_ivp``)."""
     t0, t1 = problem.t_span
     return solve_ivp(problem.rhs, ([t0], [t1]), [problem.y0], rtol=problem.rtol,
-                     atol=problem.atol, blow_up_threshold=blow_up_threshold).trajectories[0]
+                     atol=problem.atol).trajectories[0]
 

@@ -271,13 +271,17 @@ def _residual_checks(results):
     checks.append(_check("catenoid-axis-distance",
                          "Thm 1.1(3) positive distance f0 from the axis",
                          1.0, cat.diagnostics["min_radius"], 1e-9))
-    jup = cat.diagnostics["junctions"]["upper"]
-    jlo = cat.diagnostics["junctions"]["lower"]
-    c1_defect = max(abs(jup["neck_slope"] - jup["arm_slope"]),
-                    abs(jlo["neck_slope"] - jlo["arm_slope"]))
+    # the curvatures on either side of each junction, from the arm's ODE and
+    # graph kernel and from the neck's ODE and patch kernel, at the two
+    # samples that share their (r, z); H flips sign at the lower junction,
+    # so |H| is compared
+    d = cat.data
+    j = np.array([fam.CATENOID_ARM_SAMPLES, fam.CATENOID_ARM_SAMPLES + fam.CATENOID_NECK_SAMPLES])
+    jump = max(np.max(np.abs(d["K_gauss"][j] - d["K_gauss"][j - 1])),
+               np.max(np.abs(np.abs(d["H"][j]) - np.abs(d["H"][j - 1]))))
     checks.append(_check("catenoid-c1-gluing",
                          "Thm 4.1 gluing: matching value and slope at z=+-eps",
-                         0.0, c1_defect, 1e-9))
+                         0.0, jump, 1e-9))
     checks.append(_check("catenoid-embedded",
                          "Thm 1.1(3) properly embedded",
                          1.0, float(_polyline_embedded(cat)), 0.0, kind="true"))
@@ -353,61 +357,52 @@ def _bowl_checks(prof, axis_bowls):
     return checks
 
 
+# the anchors of the helicoid checks, by name, in the order of the failure
+# flags that ``_helicoid_job`` takes per profile
+_HELICOID_ANCHORS = {
+    "r2-min": "Lemma 5.4: r^2 has exactly a global minimum",
+    "tau-zero": "Lemma 5.3: tau has at most (and here exactly) one zero",
+    "nu-zeros": "Lemma 5.3: nu' = tau^2/(sqrt(lam) c) at zeros of nu",
+    "winding": "Lemma 5.6(4): each arm spirals infinitely many times",
+    "k-decay": "Lemma 5.5: k tends to zero along the arms",
+    "kprime-sign": "Lemma 5.5 (eq k'): P1 < 0 at far k-zeros",
+}
+
+
 def _helicoid_job():
     """Solve the helicoids of ``_HELICOID_GRID`` (a job for
     ``families.solve_jobs``); returns their checks and the helicoid
     (1, 1, 1) of the residual check."""
     profs = yield from fam.helicoids_job([fam.HelicoidParams(*g) for g in _HELICOID_GRID])
-    checks = []
-    fails = {"r2-min": 0, "tau-zero": 0, "nu-zeros": 0, "winding": 0,
-             "k-decay": 0, "kprime-sign": 0}
+    fails = []
     for (lam, c, r0), prof in zip(_HELICOID_GRID, profs):
         ss = prof.t
         d = prof.data
         r2, tau, nu, k = d["r2"], d["tau"], d["nu"], d["k"]
-        mins = np.nonzero((r2[1:-1] < r2[:-2]) & (r2[1:-1] < r2[2:]))[0]
-        if len(mins) != 1:
-            fails["r2-min"] += 1
-        if int(np.count_nonzero(tau[:-1] * tau[1:] < 0)) != 1:
-            fails["tau-zero"] += 1
+        mins = np.count_nonzero((r2[1:-1] < r2[:-2]) & (r2[1:-1] < r2[2:]))
         crossings = np.nonzero(nu[:-1] * nu[1:] < 0)[0]
         nu_prime = -k * tau
-        if not all(0.5 * (nu_prime[i] + nu_prime[i + 1]) >= -1e-10
-                   for i in crossings):
-            fails["nu-zeros"] += 1
+        nu_up = np.all(0.5 * (nu_prime[crossings] + nu_prime[crossings + 1]) >= -1e-10)
         # the winding rate is -nu/r^2, so the arms wind monotonically beyond
         # the last sign change of nu
-        w = prof.diagnostics["winding"]
+        w = np.unwrap(np.arctan2(d["gamma2"], d["gamma1"]))
         last_nu = np.abs(ss[crossings]).max() if len(crossings) else 0.0
         s_tail = max(10.0, last_nu + 1.0)
         tail_p = np.diff(w[ss >= s_tail])
         tail_m = np.diff(w[ss <= -s_tail])
         mono = (np.all(tail_p > 0) or np.all(tail_p < 0)) and \
                (np.all(tail_m > 0) or np.all(tail_m < 0))
-        if not mono:
-            fails["winding"] += 1
         band = np.abs(ss) >= 40.0
         center = np.abs(ss) <= 1.0
-        if not np.max(np.abs(k[band])) < np.max(np.abs(k[center])):
-            fails["k-decay"] += 1
-        far = np.abs(ss) >= 10.0
-        kz = np.nonzero((k[:-1] * k[1:] < 0) & far[:-1])[0]
-        for i in kz:
-            p1 = fam.helicoid_kprime_numerator(
-                lam, c, 0.5 * (tau[i] + tau[i + 1]), 0.5 * (nu[i] + nu[i + 1]))
-            if p1 >= 0:
-                fails["kprime-sign"] += 1
-                break
-    anchors = {
-        "r2-min": "Lemma 5.4: r^2 has exactly a global minimum",
-        "tau-zero": "Lemma 5.3: tau has at most (and here exactly) one zero",
-        "nu-zeros": "Lemma 5.3: nu' = tau^2/(sqrt(lam) c) at zeros of nu",
-        "winding": "Lemma 5.6(4): each arm spirals infinitely many times",
-        "k-decay": "Lemma 5.5: k tends to zero along the arms",
-        "kprime-sign": "Lemma 5.5 (eq k'): P1 < 0 at far k-zeros",
-    }
-    for key, cnt in fails.items():
-        checks.append(_check(f"helicoid-{key}", anchors[key], 0.0, cnt, 0.0))
+        decays = np.max(np.abs(k[band])) < np.max(np.abs(k[center]))
+        # P1 at the midpoints of the sign changes of k where |s| >= 10
+        kz = (k[:-1] * k[1:] < 0) & (np.abs(ss[:-1]) >= 10.0)
+        p1 = fam.helicoid_kprime_numerator(lam, c, 0.5 * (tau[:-1] + tau[1:])[kz],
+                                           0.5 * (nu[:-1] + nu[1:])[kz])
+        fails.append((mins != 1, np.count_nonzero(tau[:-1] * tau[1:] < 0) != 1, not nu_up,
+                      not mono, not decays, np.any(p1 >= 0)))
+    checks = [_check(f"helicoid-{key}", anchor, 0.0, n, 0.0)
+              for (key, anchor), n in zip(_HELICOID_ANCHORS.items(), np.sum(fails, axis=0))]
     return checks, profs[_HELICOID_GRID.index((1.0, 1.0, 1.0))]
 
 
@@ -569,15 +564,11 @@ def limits_suite(results):
 
 
 def _catenoid_limit_jet(f0: float, z: float) -> GraphJet:
-    """Graph jet of the upper arm of the rotational sweep of f~ at height z."""
-    w = math.sqrt(4.0 * z * z + f0**4)
-    f = w / f0
-    fp = 4.0 * z / (f0 * w)
-    fpp = 4.0 * f0**3 / w**3
-    r = f
+    """Graph jet of the upper arm of the rotational sweep of f~ at height z,
+    with f~'' = 4/f~^3."""
+    f, fp = (float(v) for v in asym.catenoid_limit_profile(f0, z))
     phip = 1.0 / fp
-    phipp = -fpp / fp**3
-    return GraphJet(r, 0.0, z, phip, 0.0, phipp, 0.0, phip / r)
+    return GraphJet(f, 0.0, z, phip, 0.0, -4.0 / f**3 / fp**3, 0.0, phip / f)
 
 
 # ---------------------------------------------------------------------------

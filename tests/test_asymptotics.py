@@ -133,7 +133,7 @@ class TestRotationalFits:
         fit = fit_rotational_asymptotics(9.0, arms[9.0])
         assert fit.regime == "supercritical"
         assert fit.expected == pytest.approx(1.0 - 4.0 / 9.0, abs=1e-12)
-        assert fit.exponent == pytest.approx(fit.expected, rel=0.03)
+        assert fit.coefficient == pytest.approx(fit.expected, rel=0.03)
 
     def test_catenoid_arm(self):
         cat = solve_catenoid(1.0, 1.0)
@@ -176,8 +176,8 @@ class TestVariableProjectionFit:
         fit = fit_rotational_asymptotics(
             9.0, synthetic_arm(9.0, lambda r: c1 * r ** (e - 1.0) + c2 / r))
         assert fit.window == (100.0, 200.0)
-        assert fit.exponent == pytest.approx(e, rel=1e-8)
-        assert fit.details["C0"] * fit.exponent == pytest.approx(c1, rel=1e-8)
+        assert fit.coefficient == pytest.approx(e, rel=1e-8)
+        assert fit.details["C0"] * fit.coefficient == pytest.approx(c1, rel=1e-8)
         assert fit.details["C2"] == pytest.approx(c2, rel=1e-8)
         assert fit.rel_residual < 1e-12
 
@@ -193,7 +193,7 @@ class TestVariableProjectionFit:
         popt, _ = optimize.curve_fit(
             lambda r, c1, e, c2: c1 * np.power(r, e - 1.0) + c2 / r, r, q,
             p0=(q[-1] * r[-1] ** (1.0 - e0), e0, 0.0), maxfev=20000)
-        assert fit.exponent == pytest.approx(popt[1], rel=1e-8)
+        assert fit.coefficient == pytest.approx(popt[1], rel=1e-8)
 
     @pytest.mark.parametrize("e", [-0.8, 1.5])
     def test_no_interior_minimum_raises(self, e):

@@ -186,6 +186,16 @@ class TestCli:
         # about 0.3 s, nearly all of it the interpreter start and the imports
         assert elapsed < 2.0
 
+    # each took over 10 s before the step attempts were capped
+    @pytest.mark.parametrize("argv", [["bowl", "--lambda", "1.76e-5", "--span", "1173"],
+                                      ["catenoid", "--lambda", "1e-5", "--span", "1000"]])
+    def test_small_lambda_run_exits_at_the_attempt_cap(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "nil3trans.cli", *argv],
+                              capture_output=True, text=True, timeout=20, env=_subprocess_env())
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: numerical failure:")
+        assert proc.stderr.count("\n") == 1 and "5000 step attempts" in proc.stderr
+
     @pytest.mark.parametrize("f0", ["1000", "0", "-1", "nan", "inf"])
     def test_limits_checks_f0_before_any_solve(self, capsys, monkeypatch, f0):
         calls = []
@@ -210,10 +220,14 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
 
     def test_numerical_failure_exit_code(self, capsys):
-        # the neck at lambda = 100, f0 = 0.01 is not convex near its apex
-        assert main(["catenoid", "--lambda", "100", "--f0", "0.01"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: numerical failure:") and "Traceback" not in err
+        # the neck at lambda = 100, f0 = 0.01 is not convex near its apex; at
+        # lambda = 1e-12 the arms start at slope 1e13 and end in a step
+        # underflow at once
+        for argv in (["catenoid", "--lambda", "100", "--f0", "0.01"],
+                     ["catenoid", "--lambda", "1e-12", "--span", "100"]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: numerical failure:") and "Traceback" not in err
 
     def test_bad_direction_exit_code(self, capsys):
         assert main(["planar-grim", "--direction", "1;0"]) == 2
@@ -352,6 +366,15 @@ def _log_uniform(lo_exp, hi_exp):
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _json_numbers(value):
+    """Every number in a parsed JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [n for v in value for n in _json_numbers(v)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
 class TestDomainSweep:
     """Random parameters across the documented domains: every run ends with
     exit 0 and finite CSV values, or with exit 2 or 3 and one stderr line,
@@ -369,6 +392,9 @@ class TestDomainSweep:
         assert code in (0, 2, 3), (argv, code, err)
         if code:
             assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        elif argv[0] == "limits":
+            numbers = _json_numbers(json.loads(out))
+            assert numbers and all(math.isfinite(v) for v in numbers), argv
         else:
             rows = [row.split(",") for row in out.splitlines()[1:]]
             assert rows and np.all(np.isfinite(np.array(rows, dtype=float))), argv
@@ -395,3 +421,26 @@ class TestDomainSweep:
     def test_helicoid_domain(self, lam, pitch, r0, span):
         self.check(["helicoid", "--lambda", repr(lam), f"--pitch={pitch!r}",
                     "--r0", repr(r0), "--span", repr(span)])
+
+    # a run that reaches ode.MAX_ATTEMPTS exits 3 within about 2 s
+    @given(_log_uniform(-12, 6), _log_uniform(-5, 6))
+    @settings(max_examples=15, deadline=5000)
+    def test_bowl_domain(self, lam, span):
+        self.check(["bowl", "--lambda", repr(lam), "--span", repr(span)])
+
+    @given(_log_uniform(-12, 6), _log_uniform(-6, 3), _log_uniform(-3, 4))
+    @settings(max_examples=15, deadline=5000)
+    def test_catenoid_domain(self, lam, f0, span):
+        self.check(["catenoid", "--lambda", repr(lam), "--f0", repr(f0),
+                    "--span", repr(span)])
+
+    @given(st.one_of(st.just(0.0), _log_uniform(-12, 12)), _log_uniform(-2, 3))
+    @settings(max_examples=15, deadline=5000)
+    def test_limits_domain(self, c, f0):
+        self.check(["limits", "--c", repr(c), "--f0", repr(f0)])
+
+    @given(st.sampled_from((["grim", "--c", "1"], ["bowl"], ["catenoid"], ["helicoid"])),
+           _log_uniform(-300, 0), _log_uniform(-300, 300))
+    @settings(max_examples=20, deadline=5000)
+    def test_tolerances(self, argv, rtol, atol):
+        self.check(argv + ["--rtol", repr(rtol), "--atol", repr(atol)])

@@ -15,6 +15,7 @@ from nil3trans.families import (
     grim_reaper_closed_form,
     grim_reaper_rhs,
     helicoid_curvature,
+    helicoid_kprime_numerator,
     helicoid_rhs,
     necks_job,
     planar_grim_reaper,
@@ -300,6 +301,15 @@ class TestHelicoid:
         assert helicoid_curvature(lam, c, 0.0, nu) == \
             pytest.approx(expected, abs=1e-15)
 
+    def test_kprime_numerator_takes_arrays(self):
+        rng = np.random.default_rng(5)
+        lam, c = rng.uniform(0.5, 4.0, 40), rng.uniform(-2.0, 2.0, 40)
+        tau, nu = rng.uniform(-3.0, 3.0, (2, 40))
+        scalar = [helicoid_kprime_numerator(*map(float, v)) for v in zip(lam, c, tau, nu)]
+        assert np.array_equal(helicoid_kprime_numerator(lam, c, tau, nu), scalar)
+        # at tau = 0 only the last term remains
+        assert np.array_equal(helicoid_kprime_numerator(lam, c, 0.0, nu), -4.0 * lam * c * c)
+
     def test_structure_identities_finite_difference(self):
         # along the solved curve: (r^2)' = 2 tau, tau' = 1 + k nu, nu' = -k tau
         prof = solve_helicoid(HelicoidParams(1.0, 1.0, 1.0), s_span=20.0)
@@ -452,11 +462,12 @@ class TestSweepSurface:
     def test_per_vertex_scalars(self):
         prof = solve_bowl(1.0, 5.0)
         mesh = sweep_surface(prof)
-        n_verts = len(mesh.vertices)
-        assert set(mesh.scalars) >= {"H", "residual", "K_gauss"}
-        for v in mesh.scalars.values():
-            assert len(v) == n_verts
-        assert np.max(np.abs(mesh.scalars["residual"])) < 1e-7
+        n_p, n_s = mesh.shape
+        assert list(mesh.scalars) == ["H"]
+        rings = mesh.scalars["H"].reshape(n_s, n_p)
+        assert np.array_equal(rings, np.tile(rings[0], (n_s, 1)))
+        assert np.all(np.isin(rings[0], prof.data["H"]))
+        assert sweep_surface(planar_grim_reaper((0.0, 1.0))).scalars == {}
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_faces_match_nested_loops(self, closed):

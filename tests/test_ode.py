@@ -152,13 +152,29 @@ class TestBlowUp:
         assert np.array_equal(traj.y[-1], traj(traj.t_end))
         assert np.max(np.abs(traj.y[-1])) == pytest.approx(BLOW_UP_THRESHOLD, rel=1e-6)
 
-    def test_threshold_monotone_approach(self):
+    def test_threshold_monotone_approach(self, monkeypatch):
         prob, sl = self.grim_problem()
-        ends = [integrate(prob, blow_up_threshold=th).t_end
-                for th in (1e4, 1e5, 1e6, 1e7, 1e8)]
+        ends = []
+        for th in (1e4, 1e5, 1e6, 1e7, 1e8):
+            monkeypatch.setattr(ode, "BLOW_UP_THRESHOLD", th)
+            ends.append(integrate(prob).t_end)
         assert all(b > a for a, b in zip(ends, ends[1:]))
         assert all(e < sl.b_endpoint for e in ends)
         assert sl.b_endpoint - ends[-1] < 1e-3
+
+
+class TestAttemptCap:
+    def test_cap_counts_the_attempts_of_the_slowest_lane(self, monkeypatch):
+        def solve():
+            return ode.solve_ivp(lambda t, y: y, ([0.0, 0.0], [1.0, 10.0]), [[1.0], [1.0]])
+
+        fast, slow = ((tr.nfev - 2) // ode.N_STAGES for tr in solve().trajectories)
+        assert fast < slow
+        monkeypatch.setattr(ode, "MAX_ATTEMPTS", slow)
+        assert [tr.termination for tr in solve().trajectories] == ["span_end"] * 2
+        monkeypatch.setattr(ode, "MAX_ATTEMPTS", slow - 1)
+        with pytest.raises(RuntimeError, match=f"1 of 2 lanes did not finish within {slow - 1} "):
+            solve()
 
 
 class TestTableau:
