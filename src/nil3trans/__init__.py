@@ -46,7 +46,6 @@ from .asymptotics import (
     AsymptoticFit,
     HorizontalLimit,
     LimitReport,
-    barrier_root,
     classify_regime,
     fit_rotational_asymptotics,
     grim_endpoint_fit,

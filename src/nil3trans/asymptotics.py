@@ -68,20 +68,11 @@ def classify_regime(lam: float) -> str:
     return SUPERCRITICAL
 
 
-def barrier_root(lam: float) -> float:
-    """The real root R of x^3 + 4x = 4*sqrt(lam) (scale of the barrier curve)."""
-    roots = np.roots([1.0, 0.0, 4.0, -4.0 * math.sqrt(lam)])
-    real = roots[np.abs(roots.imag) < 1e-9 * np.abs(roots.real).max()]
-    return float(real.real.max())
-
-
 @dataclass
 class AsymptoticFit:
     regime: str
     coefficient: float
     expected: float
-    window: tuple
-    rel_residual: float
     details: dict = field(default_factory=dict)
 
 
@@ -117,22 +108,14 @@ def fit_rotational_asymptotics(lam: float, arm: ProfileCurve) -> AsymptoticFit:
     rho = phi - r * r / (2.0 * s)
     q = psi - r / s
     regime = classify_regime(lam)
-    window = (float(r[0]), float(r[-1]))
 
     if regime == SUBCRITICAL:
-        slope, intercept = np.polyfit(np.log(r), rho, 1)
-        fitted = slope * np.log(r) + intercept
-        rel = _normalized_rms(rho, fitted)
-        expected = -4.0 / (s * (4.0 - lam))
-        return AsymptoticFit(regime, float(slope), expected, window, rel)
+        slope = np.polyfit(np.log(r), rho, 1)[0]
+        return AsymptoticFit(regime, float(slope), -4.0 / (s * (4.0 - lam)))
 
     if regime == CRITICAL:
-        eta = q * r
-        zeta, intercept = np.polyfit(np.log(r), eta, 1)
-        fitted = zeta * np.log(r) + intercept
-        rel = _normalized_rms(eta, fitted)
-        return AsymptoticFit(regime, 2.0 * float(zeta), -1.0, window, rel,
-                             details={"zeta": float(zeta)})
+        zeta = np.polyfit(np.log(r), q * r, 1)[0]
+        return AsymptoticFit(regime, 2.0 * float(zeta), -1.0)
 
     e0 = 1.0 - 4.0 / lam
 
@@ -145,11 +128,9 @@ def fit_rotational_asymptotics(lam: float, arm: ProfileCurve) -> AsymptoticFit:
 
     e = _golden_min(lambda e: float(np.sum((q - linear_fit(e)[1]) ** 2)),
                     e0 - 0.5, min(e0 + 0.5, 0.999))
-    (c1, c2), fitted = linear_fit(e)
-    rel = _normalized_rms(q, fitted)
+    c1, c2 = linear_fit(e)[0]
     # the printed expansion asserts only the exponent; C0 depends on the datum
-    return AsymptoticFit(regime, e, e0, window, rel,
-                         details={"C2": float(c2), "C0": float(c1) / e})
+    return AsymptoticFit(regime, e, e0, details={"C2": float(c2), "C0": float(c1) / e})
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -178,11 +159,6 @@ def _golden_min(f, lo, hi):
     return 0.5 * (a + b)
 
 
-def _normalized_rms(data, fitted) -> float:
-    scale = max(float(np.max(np.abs(data))), 1e-300)
-    return float(np.sqrt(np.mean((data - fitted) ** 2)) / scale)
-
-
 # ---------------------------------------------------------------------------
 # grim reaper endpoint blow-up fit
 
@@ -191,8 +167,6 @@ def _normalized_rms(data, fitted) -> float:
 class EndpointFit:
     fitted: float
     predicted: float
-    window: tuple
-    rel_error: float
 
 
 def grim_endpoint_fit(lam: float, c: float, profile: ProfileCurve) -> dict:
@@ -215,10 +189,7 @@ def grim_endpoint_fit(lam: float, c: float, profile: ProfileCurve) -> dict:
         endpoint, ys, states = grim_pole(traj, sign)
         dist = sign * (endpoint - ys)
         slope, _ = np.polyfit(np.log(dist), states[:, 0], 1)
-        fitted = -float(slope)
-        predicted = (1.0 + lam * (c + endpoint) ** 2) / s
-        out[side] = EndpointFit(fitted, predicted, (float(dist[0]), float(dist[-1])),
-                                abs(fitted / predicted - 1.0))
+        out[side] = EndpointFit(-float(slope), (1.0 + lam * (c + endpoint) ** 2) / s)
     return out
 
 
@@ -376,7 +347,6 @@ class HorizontalLimit:
     characteristic: bool
     value: float | None
     closed_form: float | None
-    residual: float | None
 
 
 # the three lambdas of the horizontal mean curvature's extrapolation
@@ -394,11 +364,11 @@ def horizontal_mean_curvature(jet: GraphJet) -> HorizontalLimit:
     comparison.
     """
     if is_characteristic(jet):
-        return HorizontalLimit(True, None, None, None)
+        return HorizontalLimit(True, None, None)
     a, b = jet.alpha, jet.beta
     hs = graph_shape(np.array(HORIZONTAL_LAM_GRID), jet).H
     vander = np.array([[1.0, 1.0 / lam, 1.0 / lam**2] for lam in HORIZONTAL_LAM_GRID])
     h_inf, p, q = np.linalg.solve(vander, hs)
     closed = (jet.u_xx * b * b + jet.u_yy * a * a - 2.0 * jet.u_xy * a * b) \
         / (a * a + b * b) ** 1.5
-    return HorizontalLimit(False, float(h_inf), float(closed), abs(float(h_inf) - closed))
+    return HorizontalLimit(False, float(h_inf), float(closed))

@@ -11,6 +11,7 @@ one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -68,12 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limits", help="large-lambda limit reports")
     p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--f0", type=float, default=1.0)
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=verify_mod.SUITES, default="all")
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--out", default=None)
     return parser
 
@@ -101,22 +100,14 @@ def _solve(args) -> fam.ProfileCurve:
 
 
 def _profile_report(profile: fam.ProfileCurve) -> dict:
-    diag = {}
-    for key, val in profile.diagnostics.items():
-        if isinstance(val, fam.SlabData):
-            diag[key] = {"a_endpoint": val.a_endpoint,
-                         "b_endpoint": val.b_endpoint, "width": val.width}
-        elif isinstance(val, (int, float, str, tuple, list, dict)):
-            diag[key] = val
-    report = {
+    return {
         "family": profile.family,
         "params": profile.params,
         "n_samples": len(profile.t),
-        "diagnostics": diag,
+        "diagnostics": {key: dataclasses.asdict(val) if isinstance(val, fam.SlabData) else val
+                        for key, val in profile.diagnostics.items()},
+        "residual_sup": profile.residual_sup,
     }
-    if "residual" in profile.data:
-        report["residual_sup"] = profile.residual_sup
-    return report
 
 
 def _emit(text: str, out) -> None:
@@ -136,9 +127,8 @@ def _run_family(args) -> int:
         _emit(exports.obj_text(mesh), args.out)
     else:
         _emit(exports.report_text(_profile_report(profile)), args.out)
-    if "residual" in profile.data:
-        print(f"# {profile.family}: {len(profile.t)} samples, "
-              f"residual sup {profile.residual_sup:.3e}", file=sys.stderr)
+    print(f"# {profile.family}: {len(profile.t)} samples, "
+          f"residual sup {profile.residual_sup:.3e}", file=sys.stderr)
     return 0
 
 
@@ -170,7 +160,7 @@ def _run_verify(args) -> int:
     if args.out is not None:
         exports.write_file(args.out, exports.report_text(report))
         print(f"wrote {args.out}", file=sys.stderr)
-    elif args.format == "json":
+    else:
         sys.stdout.write(exports.report_text(report))
     return 0 if report["passed"] else 1
 

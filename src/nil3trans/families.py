@@ -124,6 +124,9 @@ def slab(lam: float, c: float) -> SlabData:
     a = math.sinh(t - 0.5 * math.pi * s) / s - c
     b = math.sinh(t + 0.5 * math.pi * s) / s - c
     width = 2.0 / s * math.sqrt(1.0 + lam * c * c) * math.sinh(0.5 * math.pi * s)
+    # lam*c*c overflows to inf in Python floats, which do not raise
+    if not math.isfinite(width):
+        raise OverflowError(f"the slab width overflows at lambda = {lam:g}, c = {c:g}")
     return SlabData(a, b, width)
 
 
@@ -328,9 +331,7 @@ def solve_bowl(lam: float, r_max: float, n_samples: int = 1500,
                rtol: float = ode.DEFAULT_RTOL,
                atol: float = ode.DEFAULT_ATOL) -> ProfileCurve:
     """The entire rotational graph, regular at the axis via a series start."""
-    delta, (phi0, psi0) = bowl_series_start(lam)
-    if not r_max > delta:
-        raise ValueError(f"r_max must exceed the series start r = {delta:g}")
+    [(delta, (phi0, psi0))] = _bowl_starts([lam], r_max)
     # kept on ode.integrate: the perfbench tracer counts ode.rhs_calls only
     # there, and its self-test needs that count > 0 on the construct
     # workload, where this single bowl is the only caller
@@ -342,16 +343,31 @@ def solve_bowl(lam: float, r_max: float, n_samples: int = 1500,
 def bowls_job(lams, r_max: float, n_samples: int = 1500):
     """The bowl of each of ``lams``, as ``solve_bowl`` builds it; the bowls
     are asked for as one ``Lanes``."""
-    starts = [bowl_series_start(lam) for lam in lams]
-    deltas = [delta for delta, _ in starts]
-    if not all(r_max > delta for delta in deltas):
-        raise ValueError(f"r_max must exceed the series start r = {max(deltas):g}")
+    starts = _bowl_starts(lams, r_max)
     trajs = yield Lanes(_rotational_lanes, [(delta, r_max, y0) for delta, y0 in starts],
                         (np.array(lams),))
     return [_bowl_profile(lam, r_max, n_samples, traj) for lam, traj in zip(lams, trajs)]
 
 
+def _bowl_starts(lams, r_max):
+    """The series start of the bowl of each of ``lams``, once ``r_max`` is
+    checked to lie beyond it."""
+    starts = [bowl_series_start(lam) for lam in lams]
+    if not r_max > SERIES_DELTA:
+        raise ValueError(f"r_max must exceed the series start r = {SERIES_DELTA:g}")
+    return starts
+
+
+def _check_reach(arm, r_max):
+    """Raise ``ValueError`` when the rotational ``arm`` stopped at the blow-up
+    threshold before ``r_max``, so its profile cannot be sampled there."""
+    if arm.termination == "blow_up" and arm.t_end < r_max:
+        raise ValueError(f"r_max {r_max:g} lies past r = {arm.t_end:.6g}, where the arm "
+                         f"reaches the blow-up threshold {ode.BLOW_UP_THRESHOLD:g}")
+
+
 def _bowl_profile(lam, r_max, n_samples, traj) -> ProfileCurve:
+    _check_reach(traj, r_max)
     rs = np.linspace(traj.t[0], r_max, n_samples)
     states = traj(rs)
     cols = {"r": rs, "phi": states[:, 0], "psi": states[:, 1]}
@@ -492,6 +508,8 @@ def catenoid_job(lam: float, f0: float, r_max: float = 200.0,
     [(arm_m, arm_p)] = yield from _both_ways(
         _rotational_lanes, [(c0m, r_max, (-eps, 1.0 / c1m))],
         [(c0p, r_max, (eps, 1.0 / c1p))], ([lam],), rtol, atol)
+    for arm in (arm_m, arm_p):
+        _check_reach(arm, r_max)
 
     # sample the curve in order: lower arm from large r down, neck bottom to
     # top, upper arm up; the two arms share one graph kernel call
@@ -518,8 +536,8 @@ def catenoid_job(lam: float, f0: float, r_max: float = 200.0,
     diag = {
         "eps": eps,
         "junctions": {
-            "upper": {"r": c0p, "z": eps, "neck_slope": 1.0 / c1p, "arm_slope": float(arm_p.y[0][1])},
-            "lower": {"r": c0m, "z": -eps, "neck_slope": 1.0 / c1m, "arm_slope": float(arm_m.y[0][1])},
+            "upper": {"r": c0p, "z": eps, "neck_slope": 1.0 / c1p},
+            "lower": {"r": c0m, "z": -eps, "neck_slope": 1.0 / c1m},
         },
         "min_radius": float(np.min(rr)),
         **_counters(arm_m, arm_p),
@@ -541,6 +559,9 @@ MAX_HELICOID_SPAN = 1e4
 # only stops at a step underflow, after up to a minute), and from 1e-6 down
 # the tangent basis of the swept patch is degenerate anyway
 MIN_HELICOID_SCALE = 1e-8
+
+# samples of a helicoid profile, uniform in arc length over both arms
+HELICOID_SAMPLES = 4001
 
 
 @dataclass(frozen=True)
@@ -611,7 +632,6 @@ def _helicoid_lanes(s, state, lam, c):
 
 
 def solve_helicoid(params: HelicoidParams, s_span: float = 50.0,
-                   n_samples: int = 4001,
                    rtol: float = ode.DEFAULT_RTOL,
                    atol: float = ode.DEFAULT_ATOL) -> ProfileCurve:
     """Integrate both arms from the seed (the point closest to the origin).
@@ -619,10 +639,10 @@ def solve_helicoid(params: HelicoidParams, s_span: float = 50.0,
     Normalization: gamma(0) = (r0, 0) with tangent angle pi/2, so tau(0) = 0
     and the closest point lies on the positive x-axis.
     """
-    return solve_jobs(helicoids_job([params], s_span, n_samples, rtol, atol))[0][0]
+    return solve_jobs(helicoids_job([params], s_span, rtol, atol))[0][0]
 
 
-def helicoids_job(params, s_span: float = 50.0, n_samples: int = 4001,
+def helicoids_job(params, s_span: float = 50.0,
                   rtol: float = ode.DEFAULT_RTOL, atol: float = ode.DEFAULT_ATOL):
     """The helicoid of each of ``params``, as ``solve_helicoid`` builds it;
     both arms of all curves are asked for as one ``Lanes``.
@@ -645,17 +665,17 @@ def helicoids_job(params, s_span: float = 50.0, n_samples: int = 4001,
     pairs = yield from _both_ways(_helicoid_lanes, [(0.0, -s_span, y0) for y0 in seeds],
                                   [(0.0, s_span, y0) for y0 in seeds],
                                   (lams, pitches), rtol, atol)
-    return [_helicoid_profile(p, s_span, n_samples, down, up)
+    return [_helicoid_profile(p, s_span, down, up)
             for p, (down, up) in zip(params, pairs)]
 
 
-def _helicoid_profile(params, s_span, n_samples, down, up) -> ProfileCurve:
+def _helicoid_profile(params, s_span, down, up) -> ProfileCurve:
     lam, c, r0 = params.lam, params.pitch, params.r0
     for arm in (down, up):
         if arm.termination != "span_end":
             raise RuntimeError(f"helicoid arm ended at s = {arm.t_end:.6g} before "
                                f"its span end ({arm.termination})")
-    ss = np.linspace(-s_span, s_span, n_samples)
+    ss = np.linspace(-s_span, s_span, HELICOID_SAMPLES)
     g1, g2, th = _joined(down, up)(ss).T
     _, _, tau, nu = _helicoid_frame(g1, g2, th)
     cols = {"s": ss, "gamma1": g1, "gamma2": g2, "theta_t": th, "tau": tau, "nu": nu,
@@ -779,7 +799,6 @@ def planar_grim_reaper(direction) -> ProfileCurve:
     xs = np.linspace(-0.5 * width + margin, 0.5 * width - margin,
                      PLANAR_GRIM_SAMPLES)
     h = -np.log(np.cos(speed * xs)) / speed
-    hp = np.tan(speed * xs)
     k = speed * np.cos(speed * xs)  # curvature h''/(1+h'^2)^{3/2} in closed form
     nu2 = np.cos(speed * xs)  # second component of the unit normal (-h',1)/w
     residual = k - speed * nu2

@@ -12,10 +12,10 @@ is the one of HNW sec. II.4.  The global error of DOP853 per unit of
 ``rtol`` is several times that of the 5(4) pair, so the controller runs at
 ``rtol / RTOL_SAFETY``, but never below ``RTOL_FLOOR``.  Dense output is
 built on its first use, for all steps of a trajectory at once.  On top of
-the loop this module adds: typed problems with finite data, trajectories
-whose dense output refuses to extrapolate, the sup-norm blow-up stop
-(the one stopping rule the constructions need) and a cap on the step
-attempts of a call.
+the loop this module adds: a check that each call's data are finite,
+trajectories whose dense output refuses to extrapolate, the sup-norm
+blow-up stop (the one stopping rule the constructions need) and a cap on
+the step attempts of a call.
 """
 
 from __future__ import annotations
@@ -280,9 +280,6 @@ class OdeProblem:
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
 
-    def __post_init__(self):
-        _check_data(self.t_span[0], self.t_span[1], self.y0, self.rtol, self.atol)
-
 
 def _check_data(t0, t1, y0, rtol, atol):
     """Reject non-finite data, a zero-length span and tolerances out of
@@ -356,10 +353,6 @@ class Trajectory:
     @property
     def t_end(self) -> float:
         return float(self.t[-1])
-
-    @property
-    def y_end(self) -> np.ndarray:
-        return self.y[-1]
 
 
 @dataclass

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nil3trans.asymptotics import (
-    barrier_root,
     classify_regime,
     fit_rotational_asymptotics,
     grim_endpoint_fit,
@@ -100,13 +99,6 @@ class TestRegimes:
         assert classify_regime(4.0) == "critical"
         assert classify_regime(4.000001) == "supercritical"
 
-    def test_barrier_root(self):
-        for lam in (1.0, 4.0, 9.0):
-            R = barrier_root(lam)
-            assert R > 0
-            assert R**3 + 4.0 * R == pytest.approx(4.0 * math.sqrt(lam),
-                                                   abs=1e-9)
-
 
 @pytest.fixture(scope="module")
 def arms():
@@ -127,7 +119,6 @@ class TestRotationalFits:
         assert fit.regime == "critical"
         assert fit.expected == -1.0
         assert fit.coefficient == pytest.approx(-1.0, rel=0.05)
-        assert fit.details["zeta"] == pytest.approx(-0.5, rel=0.05)
 
     def test_supercritical(self, arms):
         fit = fit_rotational_asymptotics(9.0, arms[9.0])
@@ -175,11 +166,9 @@ class TestVariableProjectionFit:
         c1, c2 = -0.4, 0.29
         fit = fit_rotational_asymptotics(
             9.0, synthetic_arm(9.0, lambda r: c1 * r ** (e - 1.0) + c2 / r))
-        assert fit.window == (100.0, 200.0)
         assert fit.coefficient == pytest.approx(e, rel=1e-8)
         assert fit.details["C0"] * fit.coefficient == pytest.approx(c1, rel=1e-8)
         assert fit.details["C2"] == pytest.approx(c2, rel=1e-8)
-        assert fit.rel_residual < 1e-12
 
     @pytest.mark.parametrize("lam", [9.0, 16.0])
     def test_exponent_matches_curve_fit(self, lam):
@@ -210,7 +199,6 @@ class TestEndpointFits:
         expected = math.cosh(0.5 * math.pi) ** 2
         for side in ("a", "b"):
             assert fits[side].fitted == pytest.approx(expected, rel=0.03)
-            assert fits[side].rel_error < 0.03
 
     def test_tilted_asymmetric(self):
         prof = solve_grim_reaper(GrimReaperParams(1.0, 1.0), derived=False)
@@ -279,7 +267,7 @@ class TestHorizontalMeanCurvature:
         assert not out.characteristic
         assert abs(out.value) < 1e-10
         assert abs(out.closed_form) < 1e-14
-        assert out.residual < 1e-10
+        assert abs(out.value - out.closed_form) < 1e-10
 
     def test_characteristic_flag(self):
         jet = GraphJet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0)

@@ -3,10 +3,12 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,10 +147,20 @@ class TestCli:
         args = parser.parse_args(["grim", "--lambda", "2.0", "--c", "1.0"])
         assert args.lam == 2.0 and args.c == 1.0
 
-    def test_usage_error_exit_code(self):
+    @pytest.mark.parametrize("argv", [["grim", "--format", "yaml"],
+                                      ["verify", "--format", "json"],
+                                      ["limits", "--format", "json"]], ids=" ".join)
+    def test_usage_error_exit_code(self, argv):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["grim", "--format", "yaml"])
+            build_parser().parse_args(argv)
         assert exc.value.code == 2
+
+    def test_output_hash_commands_parse(self):
+        # removing an option must not break the reference-output listing
+        tool = runpy.run_path(Path(__file__).resolve().parents[1] / "tools" / "output_hashes.py")
+        assert tool["COMMANDS"]
+        for argv in tool["COMMANDS"]:
+            build_parser().parse_args(argv + ["--out", "out"])
 
     def test_invalid_parameter_exit_code(self, capsys):
         assert main(["bowl", "--lambda", "-1.0"]) == 2
@@ -229,6 +241,15 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: numerical failure:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("family", ["bowl", "catenoid"])
+    def test_span_past_the_blow_up_names_it(self, capsys, family):
+        # once the integrator's "dense output requested outside the
+        # integrated range" line
+        assert main([family, "--span", "1e6"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: r_max 1e+06 ") and "141421" in err
+        assert err.count("\n") == 1
+
     def test_bad_direction_exit_code(self, capsys):
         assert main(["planar-grim", "--direction", "1;0"]) == 2
 
@@ -283,6 +304,10 @@ class TestCli:
         # an arm ended by step underflow: once exited 2 from the read-back
         ["helicoid", "--pitch", "1e-20"],
         ["helicoid", "--pitch", "1e-100"],
+        # lam*c*c overflows the slab width in Python floats: once exit 2 from
+        # the integrator's finiteness check
+        ["grim", "--c", "1e155"],
+        ["grim", "--c", "1e300"],
         # a subnormal direction overflows pi/speed in Python floats: once
         # all-nan csv and obj output with exit 0, and exit 2 from the json
         # encoder

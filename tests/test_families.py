@@ -204,9 +204,10 @@ class TestCatenoid:
         prof = solve_catenoid(1.0, 1.0, r_max=150.0)
         assert prof.residual_sup < 1e-7
         assert prof.diagnostics["min_radius"] == pytest.approx(1.0, abs=1e-9)
-        for side in ("upper", "lower"):
+        # each arm starts at its junction, at the neck's slope there
+        for side, arm in zip(("lower", "upper"), prof.trajectories):
             j = prof.diagnostics["junctions"][side]
-            assert j["neck_slope"] == pytest.approx(j["arm_slope"], abs=1e-9)
+            assert (arm.t[0], *arm.y[0]) == (j["r"], j["z"], j["neck_slope"])
         # arc length is non-decreasing along the assembled curve (the two
         # junction points are shared between arm and neck samples)
         diffs = np.diff(prof.t)
@@ -258,7 +259,7 @@ class TestSeriesStart:
             monkeypatch.setattr(families, "SERIES_DELTA", delta)
             prof = solve_bowl(1.0, 5.0, rtol=1e-12, atol=1e-14)
             assert prof.t[0] == delta
-            ends.append(prof.trajectories[0].y_end[0])
+            ends.append(prof.trajectories[0].y[-1][0])
         assert abs(ends[0] - ends[1]) < 1e-7
 
     def test_validation(self):

@@ -33,16 +33,16 @@ from nil3trans.ode import (
 class TestProblemValidation:
     def test_degenerate_span(self):
         with pytest.raises(ValueError):
-            OdeProblem(lambda t, y: y, (1.0,), (0.0, 0.0))
+            integrate(OdeProblem(lambda t, y: y, (1.0,), (0.0, 0.0)))
 
     def test_bad_tolerances(self):
         with pytest.raises(ValueError):
-            OdeProblem(lambda t, y: y, (1.0,), (0.0, 1.0), rtol=0.0)
+            integrate(OdeProblem(lambda t, y: y, (1.0,), (0.0, 1.0), rtol=0.0))
         for rtol in (1.0, 2.0):
             with pytest.raises(ValueError, match="rtol"):
-                OdeProblem(lambda t, y: y, (1.0,), (0.0, 1.0), rtol=rtol)
+                integrate(OdeProblem(lambda t, y: y, (1.0,), (0.0, 1.0), rtol=rtol))
         with pytest.raises(ValueError):
-            OdeProblem(lambda t, y: y, (1.0,), (0.0, 1.0), atol=0.0)
+            integrate(OdeProblem(lambda t, y: y, (1.0,), (0.0, 1.0), atol=0.0))
 
     def test_nonfinite_initial_rhs(self):
         prob = OdeProblem(lambda t, y: [math.inf], (1.0,), (0.0, 1.0))
@@ -56,7 +56,7 @@ class TestProblemValidation:
     def test_nonfinite_data_rejected(self, field, value):
         kwargs = {"y0": (1.0,), "t_span": (0.0, 1.0), field: value}
         with pytest.raises(ValueError, match="finite"):
-            OdeProblem(lambda t, y: y, **kwargs)
+            integrate(OdeProblem(lambda t, y: y, **kwargs))
 
     def test_rtol_below_scipy_floor_is_clamped(self):
         # rtol / RTOL_SAFETY falls under the 100 eps floor here; the clamp
@@ -65,7 +65,7 @@ class TestProblemValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = integrate(prob)
-        assert traj.y_end[0] == pytest.approx(math.e, rel=1e-12)
+        assert traj.y[-1][0] == pytest.approx(math.e, rel=1e-12)
 
 
 class TestAccuracy:
@@ -73,7 +73,7 @@ class TestAccuracy:
         prob = OdeProblem(lambda t, y: y, (1.0,), (0.0, 1.0))
         traj = integrate(prob)
         assert traj.termination == "span_end"
-        assert abs(traj.y_end[0] - math.e) < 1e-9
+        assert abs(traj.y[-1][0] - math.e) < 1e-9
 
     def test_radial_linear_long_range(self):
         # y' = -(b/x)(y - a) + c/x^2 with (a, b, c) = (2, 3, 1), y(1) = 5,
@@ -85,14 +85,14 @@ class TestAccuracy:
 
         traj = integrate(OdeProblem(rhs, (5.0,), (1.0, 10.0)))
         exact = float(radial_linear_closed_form(a, b, c, 1.0, 5.0, 10.0))
-        assert abs(traj.y_end[0] - exact) < 1e-8
+        assert abs(traj.y[-1][0] - exact) < 1e-8
 
     def test_tolerance_tightening_improves(self):
         errs = []
         for rtol in (1e-6, 1e-7):
             prob = OdeProblem(lambda t, y: y, (1.0,), (0.0, 1.0),
                               rtol=rtol, atol=rtol * 1e-2)
-            errs.append(abs(integrate(prob).y_end[0] - math.e))
+            errs.append(abs(integrate(prob).y[-1][0] - math.e))
         assert errs[1] <= errs[0] / 2.0
 
     def test_dense_output_between_steps(self):
@@ -215,9 +215,9 @@ class TestLanes:
 
     def test_helicoid_lanes_match_single_solves(self):
         grid = [HelicoidParams(1.0, 0.5, 2.0), HelicoidParams(4.0, 2.0, 0.5)]
-        [batch] = solve_jobs(helicoids_job(grid, s_span=20.0, n_samples=801))
+        [batch] = solve_jobs(helicoids_job(grid, s_span=20.0))
         for params, prof in zip(grid, batch):
-            alone = solve_helicoid(params, s_span=20.0, n_samples=801)
+            alone = solve_helicoid(params, s_span=20.0)
             for a, b in zip(prof.trajectories, alone.trajectories):
                 same_trajectory(a, b)
             for key, col in alone.data.items():
