@@ -293,6 +293,8 @@ def grim_windows_job(lams, c: float, y_max: float):
 # distance from the singular point (the bowl's axis r = 0, the neck's apex
 # z = 0) at which the series starts hand over to the integrator
 SERIES_DELTA = 1e-4
+# samples of a bowl profile, from the series start out to r_max
+BOWL_SAMPLES = 1500
 
 
 def rotational_rhs(lam: float, r, phi_p):
@@ -327,8 +329,7 @@ def _rotational_lanes(r, state, lam):
     return state[1], rotational_rhs(lam, r, state[1])
 
 
-def solve_bowl(lam: float, r_max: float, n_samples: int = 1500,
-               rtol: float = ode.DEFAULT_RTOL,
+def solve_bowl(lam: float, r_max: float, rtol: float = ode.DEFAULT_RTOL,
                atol: float = ode.DEFAULT_ATOL) -> ProfileCurve:
     """The entire rotational graph, regular at the axis via a series start."""
     [(delta, (phi0, psi0))] = _bowl_starts([lam], r_max)
@@ -337,10 +338,10 @@ def solve_bowl(lam: float, r_max: float, n_samples: int = 1500,
     # workload, where this single bowl is the only caller
     traj = ode.integrate(ode.OdeProblem(partial(_rotational_lanes, lam=lam), (phi0, psi0),
                                         (delta, r_max), rtol=rtol, atol=atol))
-    return _bowl_profile(lam, r_max, n_samples, traj)
+    return _bowl_profile(lam, r_max, BOWL_SAMPLES, traj)
 
 
-def bowls_job(lams, r_max: float, n_samples: int = 1500):
+def bowls_job(lams, r_max: float, n_samples: int = BOWL_SAMPLES):
     """The bowl of each of ``lams``, as ``solve_bowl`` builds it; the bowls
     are asked for as one ``Lanes``."""
     starts = _bowl_starts(lams, r_max)
@@ -351,11 +352,17 @@ def bowls_job(lams, r_max: float, n_samples: int = 1500):
 
 def _bowl_starts(lams, r_max):
     """The series start of the bowl of each of ``lams``, once ``r_max`` is
-    checked to lie beyond it."""
+    checked to be finite and to lie beyond it."""
     starts = [bowl_series_start(lam) for lam in lams]
+    _check_finite_r_max(r_max)
     if not r_max > SERIES_DELTA:
         raise ValueError(f"r_max must exceed the series start r = {SERIES_DELTA:g}")
     return starts
+
+
+def _check_finite_r_max(r_max):
+    if not math.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, got {r_max:g}")
 
 
 def _check_reach(arm, r_max):
@@ -494,6 +501,7 @@ def catenoid_job(lam: float, f0: float, r_max: float = 200.0,
                  rtol: float = ode.DEFAULT_RTOL, atol: float = ode.DEFAULT_ATOL):
     """The catenoid that ``solve_catenoid`` returns: the job asks for the
     neck first and for the arms once the neck has fixed their junctions."""
+    _check_finite_r_max(r_max)
     [(f, _)] = yield from necks_job([lam], f0, 2.0 * GLUING_EPS_CAP, rtol, atol)
     eps = _gluing_offset(lam, f)
     c0p, c1p = f(eps)

@@ -10,18 +10,18 @@ norm, rejection state and stop, so a lane's result does not depend on the
 batch it runs in.  ``integrate`` is the one-lane call.  The step controller
 is the one of HNW sec. II.4.  The global error of DOP853 per unit of
 ``rtol`` is several times that of the 5(4) pair, so the controller runs at
-``rtol / RTOL_SAFETY``, but never below ``RTOL_FLOOR``.  Dense output is
-built on its first use, for all steps of a trajectory at once.  On top of
-the loop this module adds: a check that each call's data are finite,
-trajectories whose dense output refuses to extrapolate, the sup-norm
-blow-up stop (the one stopping rule the constructions need) and a cap on
-the step attempts of a call.
+``rtol / RTOL_SAFETY``, but never below ``RTOL_FLOOR``.  Once the loop
+ends, one pass builds the interpolants of all accepted steps of a call;
+they make every trajectory's dense output and locate its blow-up stop.  On
+top of the loop this module adds: a check that each call's data are
+finite, trajectories whose dense output refuses to extrapolate, the
+sup-norm blow-up stop (the one stopping rule the constructions need) and a
+cap on the step attempts of a call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -305,23 +305,14 @@ class Trajectory:
     y: np.ndarray  # shape (n_samples, dimension)
     termination: str  # span_end | blow_up | step_underflow
     n_steps: int = 0
-    # right-hand-side evaluations of the step loop; building the dense
-    # output costs 3 more a step, which are not counted
+    # right-hand-side evaluations of the step loop, and 3 more after a
+    # blow-up stop, which needs its step's interpolant; building the other
+    # steps' interpolants costs 3 more a step, which are not counted
     nfev: int = 0
-    # builds the dense output (h, coef) on first use
-    build_dense: Callable | None = field(default=None, repr=False)
-    _dense: tuple | None = field(default=None, init=False, repr=False)
-
-    @property
-    def dense(self):
-        """Per step: the step h (the last step is longer than its sample
-        interval after a blow-up stop) and the interpolant coefficients,
-        shape (INTERPOLATOR_POWER, n_steps, dimension); None without dense
-        output."""
-        if self._dense is None and self.build_dense is not None:
-            self._dense = self.build_dense()
-            self.build_dense = None
-        return self._dense
+    # per step: the step h (the last step is longer than its sample interval
+    # after a blow-up stop) and the interpolant coefficients, shape
+    # (INTERPOLATOR_POWER, n_steps, dimension); None without dense output
+    dense: tuple | None = field(default=None, repr=False)
 
     def __call__(self, t):
         """Dense-output evaluation on [t[0], t[-1]]; accepts scalars or arrays.
@@ -340,12 +331,10 @@ class Trajectory:
                         f"range [{lo:.6g}, {hi:.6g}] ({self.termination})")
         h, coef = self.dense
         tt = ts.reshape(-1)
-        # a sample time belongs to the step that ends there
-        if self.t[-1] > self.t[0]:
-            seg = np.searchsorted(self.t, tt, side="left") - 1
-        else:
-            seg = np.searchsorted(-self.t, -tt, side="left") - 1
-        seg = np.clip(seg, 0, len(h) - 1)
+        # a sample time belongs to the step that ends there; times the sign
+        # of the steps (an exact product), the sample times ascend
+        d = np.sign(h[0])
+        seg = np.clip(np.searchsorted(d * self.t, d * tt, side="left") - 1, 0, len(h) - 1)
         x = (tt - self.t[seg]) / h[seg]
         out = _interpolate(coef[:, seg], self.y[seg], x[:, None])
         return out if ts.ndim else out[0]
@@ -388,9 +377,8 @@ def _step(rhs, args, t, y, f, h):
 def _interpolant(rhs, args, t, h, y, f, y_new, f_new, acc):
     """Coefficients (7, n, lanes) of each lane's step interpolant (HNW sec.
     II.6): three more stages, then the step's end values.  ``acc`` holds the
-    stage sums of rows 13 on, after stage 12; the lanes may be the steps of
-    one trajectory."""
-    acc = acc.copy()
+    stage sums of rows 13 on, after stage 12, and is summed on in place; the
+    lanes are the steps of all trajectories."""
     for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
         acc += _W[s, N_STAGES + 1:] * rhs(t + C[s] * h, y + acc[s - N_STAGES - 1] * h, *args)
     dy = y_new - y
@@ -472,10 +460,10 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) ->
     A lane ends at its span end (``span_end``), once the sup-norm of its
     state reaches ``BLOW_UP_THRESHOLD`` (``blow_up``; the crossing is
     located on the step interpolant and replaces the last step sample), or
-    when its step falls under 10 ulp of t (``step_underflow``).  Each
-    trajectory keeps what the interpolants of its steps need and builds them
-    on first use.  ``RuntimeError`` is raised when a lane is still running
-    after ``MAX_ATTEMPTS`` step attempts.
+    when its step falls under 10 ulp of t (``step_underflow``).  The
+    interpolants of all accepted steps are built in one pass after the loop.
+    ``RuntimeError`` is raised when a lane is still running after
+    ``MAX_ATTEMPTS`` step attempts.
     """
     t = np.array(t_span[0], dtype=float).reshape(-1)
     t_bound = np.array(t_span[1], dtype=float).reshape(-1)
@@ -492,7 +480,7 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) ->
     f = _eval(rhs, t, y, args)
     if not np.all(np.isfinite(f)):
         raise ValueError("right-hand side is not finite at the initial state")
-    start = (t, y, f, args)
+    start = (t, y, args)
     direction = np.sign(t_bound - t)
     toward = direction * np.inf
     h_abs = _initial_step(rhs, args, t, y, f, t_bound, direction, rtol, atol)
@@ -503,9 +491,8 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) ->
     ay = np.abs(y)
     armed = ay.max(0) <= BLOW_UP_THRESHOLD
     status = ["span_end"] * n_lanes
-    stops = {}
-    # per iteration, of the accepted steps: lanes, t_new, y_new, h, f_new and
-    # the stage sums the interpolant goes on from
+    # per iteration, of the accepted steps: lanes, t, y, f, t_new, y_new, h,
+    # f_new and the stage sums the interpolant goes on from
     steps = []
     iteration = 0
 
@@ -561,8 +548,8 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) ->
 
         all_ok = n_ok == len(lanes)
         sel = slice(None) if all_ok else ok
-        steps.append((lanes[sel], t_new[sel], y_new[:, sel], h[sel],
-                      f_new[:, sel], acc[N_STAGES + 1:, :, sel]))
+        steps.append((lanes[sel], t[sel], y[:, sel], f[:, sel], t_new[sel], y_new[:, sel],
+                      h[sel], f_new[:, sel], acc[N_STAGES + 1:, :, sel]))
 
         peak = ay_new.max(0)
         crossed = armed & (peak >= BLOW_UP_THRESHOLD)
@@ -571,15 +558,6 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) ->
             crossed &= ok
             done &= ok
         n_done = np.count_nonzero(done)
-        if n_done and np.count_nonzero(crossed):
-            coef = _interpolant(rhs, tuple(a[crossed] for a in args), t[crossed], h[crossed],
-                                y[:, crossed], f[:, crossed], y_new[:, crossed],
-                                f_new[:, crossed], acc[N_STAGES + 1:, :, crossed])
-            t_stop, y_stop = _locate_stop(coef, t[crossed], t_new[crossed], h[crossed],
-                                          y[:, crossed], BLOW_UP_THRESHOLD)
-            for i, lane in enumerate(lanes[crossed]):
-                status[lane] = "blow_up"
-                stops[lane] = (t_stop[i], y_stop[:, i])
 
         if all_ok:
             t, y, ay, f, armed = t_new, y_new, ay_new, f_new, peak <= BLOW_UP_THRESHOLD
@@ -590,59 +568,56 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) ->
             f = np.where(ok, f_new, f)
             armed = np.where(ok, peak <= BLOW_UP_THRESHOLD, armed)
         if n_done:
+            for lane in lanes[crossed]:
+                status[lane] = "blow_up"
             drop(~done, iteration)
 
-    return _assemble(rhs, start, steps, status, stops, attempts)
+    return _assemble(rhs, start, steps, status, attempts)
 
 
-def _assemble(rhs, start, steps, status, stops, attempts) -> Solution:
-    """Sort the accepted steps of all iterations into one trajectory per lane.
+def _assemble(rhs, start, steps, status, attempts) -> Solution:
+    """Build the interpolants of the accepted steps of all iterations in one
+    pass, put each blow-up stop in place of its lane's last step sample, and
+    sort the steps into one trajectory per lane.
 
     ``steps`` is emptied once its columns are joined, and each lane then
     takes copies of its steps, so a call holds at most two copies of its
     steps, and the memory of a lane is freed with its trajectory, whatever
     the other lanes of its call.
     """
-    t_start, y_start, f_start, args = start
+    t_start, y_start, args = start
     n_lanes = len(t_start)
     bounds = np.zeros(n_lanes + 1, dtype=int)
+    stop = np.array([s == "blow_up" for s in status])
     if steps:
         lane_of = np.concatenate([s[0] for s in steps])
-        order = np.argsort(lane_of, kind="stable")
-        cols = [np.concatenate([s[k] for s in steps], axis=-1)
-                for k in range(1, len(steps[0]))]
+        t, y, f, t_new, y_new, h, f_new, acc = [np.concatenate([s[k] for s in steps], axis=-1)
+                                                for k in range(1, len(steps[0]))]
         steps.clear()
+        coef = _interpolant(rhs, tuple(a[lane_of] for a in args), t, h, y, f, y_new, f_new, acc)
+        # the steps of each lane in time order, the lanes in turn
+        order = np.argsort(lane_of, kind="stable")
         bounds[1:] = np.cumsum(np.bincount(lane_of, minlength=n_lanes))
+        last = order[bounds[1:][stop] - 1]
+        t_new[last], y_new[:, last] = _locate_stop(coef[..., last], t[last], t_new[last],
+                                                   h[last], y[:, last], BLOW_UP_THRESHOLD)
+        coef = coef.transpose(0, 2, 1)
     trajs = []
     for lane in range(n_lanes):
         lo, hi = bounds[lane], bounds[lane + 1]
-        t, y, f = t_start[lane:lane + 1], y_start[:, lane:lane + 1], f_start[:, lane:lane + 1]
-        build = None
+        t, y, dense = t_start[lane:lane + 1], y_start[:, lane:lane + 1], None
         if hi > lo:
-            t_new, y_new, h, f_new, acc = (c[..., order[lo:hi]] for c in cols)
-            build = partial(_dense_output, rhs, tuple(np.full(hi - lo, a[lane]) for a in args),
-                            np.concatenate([t, t_new[:-1]]), h,
-                            np.hstack([y, y_new[:, :-1]]), np.hstack([f, f_new[:, :-1]]),
-                            y_new, f_new, acc)
-            t = np.concatenate([t, t_new])
-            y = np.hstack([y, y_new])
-        y = y.T.copy()
-        if lane in stops:
-            t[-1], y[-1] = stops[lane]
+            own = order[lo:hi]
+            t = np.concatenate([t, t_new[own]])
+            y = np.hstack([y, y_new[:, own]])
+            dense = (h[own], coef[:, own])
         # 2 evaluations choose the first step, 12 make each attempt, and 3
         # more build the stop step's interpolant
-        nfev = 2 + N_STAGES * attempts[lane] + 3 * int(lane in stops)
-        trajs.append(Trajectory(t=t, y=y, termination=status[lane], n_steps=int(hi - lo),
-                                nfev=int(nfev), build_dense=build))
+        nfev = 2 + N_STAGES * attempts[lane] + 3 * stop[lane]
+        trajs.append(Trajectory(t=t, y=y.T.copy(), termination=status[lane],
+                                n_steps=int(hi - lo), nfev=int(nfev), dense=dense))
     return Solution(trajs, np.concatenate([tr.t for tr in trajs]),
                     sum(tr.nfev for tr in trajs))
-
-
-def _dense_output(rhs, args, t, h, y, f, y_new, f_new, acc):
-    """Dense output of one trajectory: its steps are the lanes of one
-    interpolant evaluation, 3 right-hand-side calls in all."""
-    coef = _interpolant(rhs, args, t, h, y, f, y_new, f_new, acc)
-    return h, np.ascontiguousarray(coef.transpose(0, 2, 1))
 
 
 def integrate(problem: OdeProblem) -> Trajectory:

@@ -102,8 +102,7 @@ class TestRegimes:
 
 @pytest.fixture(scope="module")
 def arms():
-    return {lam: solve_bowl(lam, 200.0, n_samples=400)
-            for lam in (1.0, 4.0, 9.0)}
+    return {lam: solve_bowl(lam, 200.0) for lam in (1.0, 4.0, 9.0)}
 
 
 class TestRotationalFits:
@@ -132,7 +131,7 @@ class TestRotationalFits:
         assert fit.coefficient == pytest.approx(-4.0 / 3.0, rel=0.03)
 
     def test_insufficient_tail(self):
-        short = solve_bowl(1.0, 50.0, n_samples=100)
+        short = solve_bowl(1.0, 50.0)
         with pytest.raises(ValueError):
             fit_rotational_asymptotics(1.0, short)
 
@@ -173,7 +172,7 @@ class TestVariableProjectionFit:
     @pytest.mark.parametrize("lam", [9.0, 16.0])
     def test_exponent_matches_curve_fit(self, lam):
         optimize = pytest.importorskip("scipy.optimize")
-        arm = solve_bowl(lam, 200.0, n_samples=400)
+        arm = solve_bowl(lam, 200.0)
         fit = fit_rotational_asymptotics(lam, arm)
         # the model and starting point of the reference nonlinear fit
         r = np.linspace(100.0, 200.0, 400)

@@ -250,6 +250,19 @@ class TestCli:
         assert err.startswith("error: r_max 1e+06 ") and "141421" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("family, span", [("bowl", "nan"), ("bowl", "inf"),
+                                              ("catenoid", "nan"), ("catenoid", "inf")])
+    def test_nonfinite_span_names_the_rule(self, capsys, monkeypatch, family, span):
+        # these once named the series start, the integrator's finite-data
+        # check or, after solving the neck, the junction radius
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        monkeypatch.setattr(ode, "solve_ivp", refuse)
+        assert main([family, "--span", span]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "finite" in err
+
     def test_bad_direction_exit_code(self, capsys):
         assert main(["planar-grim", "--direction", "1;0"]) == 2
 

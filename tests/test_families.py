@@ -151,6 +151,16 @@ class TestRotational:
     def test_bowl_validation(self):
         with pytest.raises(ValueError):
             solve_bowl(1.0, -5.0)
+        for r_max in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="r_max must be finite"):
+                solve_bowl(1.0, r_max)
+
+    def test_bowl_sample_count_is_fixed(self):
+        assert len(solve_bowl(1.0, 5.0).t) == families.BOWL_SAMPLES
+        with pytest.raises(TypeError):
+            solve_bowl(1.0, 5.0, n_samples=300)
+        [[prof]] = solve_jobs(families.bowls_job([1.0], 5.0, n_samples=50))
+        assert len(prof.t) == 50
 
 
 class TestCatenoid:

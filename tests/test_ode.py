@@ -225,9 +225,9 @@ class TestLanes:
 
     def test_bowl_lanes_match_single_solves(self):
         lams = (0.5, 1.0, 4.0, 9.0)
-        [batch] = solve_jobs(bowls_job(lams, 20.0, n_samples=300))
+        [batch] = solve_jobs(bowls_job(lams, 20.0))
         for lam, prof in zip(lams, batch):
-            alone = solve_bowl(lam, 20.0, n_samples=300)
+            alone = solve_bowl(lam, 20.0)
             same_trajectory(prof.trajectories[0], alone.trajectories[0])
             assert prof.diagnostics == alone.diagnostics
             assert np.array_equal(prof.t, alone.t)
@@ -322,6 +322,31 @@ class TestLanes:
         assert nfev >= 2 + 12 * traj.n_steps and (nfev - 2) % 12 == 0
         traj(0.5)
         assert traj.nfev == nfev
+
+    def test_one_interpolant_pass_per_call(self):
+        # 2 calls choose the first steps and 12 make each attempt of the
+        # slowest lane; one pass of 3 more builds the interpolants of every
+        # step of every lane, the two stops included, and evaluating the
+        # trajectories afterwards calls the right-hand side no more
+        lam, c = np.array([1.0, 1.0, 4.0]), np.array([0.0, 0.5, 2.0])
+        t1 = [1.0, slab(1.0, 0.5).b_endpoint + 1.0, slab(4.0, 2.0).a_endpoint - 1.0]
+        calls = []
+
+        def rhs(y, state, lam, c):
+            calls.append(len(y))
+            return grim_reaper_rhs(lam, c, y, state[0], state[1])
+
+        trajs = ode.solve_ivp(rhs, ([0.0] * 3, t1), np.zeros((3, 2)), args=(lam, c)).trajectories
+        assert [tr.termination for tr in trajs] == ["span_end", "blow_up", "blow_up"]
+        attempts = [(tr.nfev - 2 - 3 * (tr.termination == "blow_up")) / ode.N_STAGES
+                    for tr in trajs]
+        assert all(n == int(n) > 0 for n in attempts)
+        assert len(calls) == 2 + ode.N_STAGES * max(attempts) + 3
+        n_calls = len(calls)
+        for tr in trajs:
+            tr(0.5 * (tr.t[:-1] + tr.t[1:]))
+            tr(tr.t_end)
+        assert len(calls) == n_calls
 
 
 class TestStopLocation:

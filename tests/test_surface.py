@@ -14,6 +14,7 @@ from nil3trans.core import (
     vertical_translation_field,
 )
 from nil3trans.families import (
+    bowls_job,
     grim_reaper_closed_form,
     grim_reaper_jet,
     helicoid_patch_jet,
@@ -21,7 +22,6 @@ from nil3trans.families import (
     necks_job,
     radial_graph_jet,
     slab,
-    solve_bowl,
     solve_jobs,
 )
 from nil3trans.surface import (
@@ -385,7 +385,7 @@ class TestArrayKernel:
         for y in rng.uniform(sl.a_endpoint + 0.1 * sl.width, sl.b_endpoint - 0.1 * sl.width, 20):
             gp = grim_reaper_closed_form(lam, c, float(y))
             jets.append(grim_reaper_jet(lam, c, float(y), float(rng.normal()), gp))
-        bowl = solve_bowl(lam, 30.0, n_samples=20)
+        [[bowl]] = solve_jobs(bowls_job([lam], 30.0, n_samples=20))
         for r, phi, psi in zip(bowl.t, bowl.data["phi"], bowl.data["psi"]):
             jets.append(radial_graph_jet(lam, float(r), float(phi), float(psi)))
         assert_array_kernel_exact(lam, jets, stack_graph_jets(jets), graph_shape,
