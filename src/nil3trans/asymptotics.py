@@ -174,35 +174,25 @@ def grim_endpoint_fit(lam: float, c: float, profile: ProfileCurve) -> dict:
 
     Near the right endpoint b the profile satisfies
     gamma(y) ~ -(1 + lam*(c + b)^2)/sqrt(lam) * log(b - y); the left endpoint
-    is analogous.  The fit is a least-squares slope of gamma against
-    log(distance to ``grim_pole``) over the last resolved decade before
-    termination.
+    is analogous.  The fit is a least-squares slope of gamma against the log
+    of the distance to the profile's refined pole (``a_numeric`` or
+    ``b_numeric``, from ``families.grim_pole``) at 200 points from 1e-6 to
+    1e-5 before the blow-up stop.
     """
     if profile.family != "grim":
         raise ValueError("endpoint fit applies to grim reaper profiles")
-    if profile.diagnostics["termination"] != ("blow_up", "blow_up"):
+    diag = profile.diagnostics
+    if diag["termination"] != ("blow_up", "blow_up"):
         raise ValueError("profile must terminate by blow-up at both ends")
     s = math.sqrt(lam)
     out = {}
     for side, traj, sign in (("b", profile.trajectories[1], 1.0),
                              ("a", profile.trajectories[0], -1.0)):
-        endpoint, ys, states = grim_pole(traj, sign)
-        dist = sign * (endpoint - ys)
-        slope, _ = np.polyfit(np.log(dist), states[:, 0], 1)
+        endpoint = diag[f"{side}_numeric"]
+        ys = traj.t_end - sign * np.geomspace(1e-6, 1e-5, 200)
+        slope, _ = np.polyfit(np.log(sign * (endpoint - ys)), traj(ys)[:, 0], 1)
         out[side] = EndpointFit(-float(slope), (1.0 + lam * (c + endpoint) ** 2) / s)
     return out
-
-
-def grim_pole(traj, sign: float):
-    """The pole of gamma' past the blow-up stop of a grim reaper half (sign
-    1 up to b, -1 down to a), the points ys before the stop and the states
-    there.  The stop falls short of the pole by ~coefficient/threshold; near
-    the pole 1/gamma' = (b - y)/A is linear, so the line fitted to 1/gamma'
-    at 200 ys from 1e-6 to 1e-5 before the stop meets zero at the pole."""
-    ys = traj.t_end - sign * np.geomspace(1e-6, 1e-5, 200)
-    states = traj(ys)
-    slope, icpt = np.polyfit(ys, sign / states[:, 1], 1)
-    return -icpt / slope, ys, states
 
 
 # ---------------------------------------------------------------------------

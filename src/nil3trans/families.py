@@ -130,14 +130,33 @@ def slab(lam: float, c: float) -> SlabData:
     return SlabData(a, b, width)
 
 
+# |gamma'| at which a grim reaper half stops: its end is read from the pole
+# that ``grim_pole`` fits before the stop, so the lane need not run on to
+# ode.BLOW_UP_THRESHOLD (the slowest lane of a verify run takes 394 step
+# attempts instead of 551).  gamma keeps the stop at ode.BLOW_UP_THRESHOLD:
+# at a steep slope c it grows past 1e7 long before gamma' nears its pole
+# (at lam = 4 from c ~ 100), and past 1e10 only from c ~ 1e3
+GRIM_BLOW_UP = 1e7
+_GRIM_STOP = (ode.BLOW_UP_THRESHOLD, GRIM_BLOW_UP)
+
+
 def grim_reaper_rhs(lam, c, y, gamma, gamma_p):
     """Right-hand side of the generating-curve ODE (state (gamma, gamma'));
     every argument may be an array."""
+    return _grim_lanes(y, (gamma, gamma_p), *_grim_args(lam, c))
+
+
+def _grim_args(lam, c):
+    """The arguments of ``_grim_lanes``: lam, c, sqrt(lam) and 1/sqrt(lam)."""
     s = np.sqrt(lam)
+    return lam, c, s, 1.0 / s
+
+
+def _grim_lanes(y, state, lam, c, s, inv_s):
+    gamma_p = state[1]
     a = y + c
     la = lam * a
-    gamma_pp = 1.0 / s + (s * gamma_p + la) * gamma_p / (1.0 + la * a)
-    return gamma_p, gamma_pp
+    return gamma_p, inv_s + (s * gamma_p + la) * gamma_p / (1.0 + la * a)
 
 
 def grim_reaper_closed_form(lam: float, c: float, y):
@@ -166,10 +185,6 @@ def grim_reaper_jet(lam: float, c: float, y, gamma, gamma_p) -> GraphJet:
     )
 
 
-def _grim_lanes(y, state, lam, c):
-    return grim_reaper_rhs(lam, c, y, state[0], state[1])
-
-
 def solve_grim_reaper(params: GrimReaperParams,
                       rtol: float = ode.DEFAULT_RTOL,
                       atol: float = ode.DEFAULT_ATOL,
@@ -192,7 +207,8 @@ def grim_reapers_job(params, rtol: float = ode.DEFAULT_RTOL,
         _grim_lanes,
         [(0.0, sl.a_endpoint - 0.2 * sl.width, (0.0, 0.0)) for sl in slabs],
         [(0.0, sl.b_endpoint + 0.2 * sl.width, (0.0, 0.0)) for sl in slabs],
-        ([p.lam for p in params], [p.c for p in params]), rtol, atol)
+        _grim_args(np.array([p.lam for p in params]), np.array([p.c for p in params])),
+        rtol, atol)
     return [_grim_profile(p, sl, down, up, derived)
             for p, sl, (down, up) in zip(params, slabs, pairs)]
 
@@ -207,11 +223,41 @@ def _grim_profile(params, sl, down, up, derived) -> ProfileCurve:
         cols.update(_shape_columns(lam, graph_shape(lam, jet), jet))
     diag = {
         "slab": sl,
-        "a_numeric": float(down.t_end),
-        "b_numeric": float(up.t_end),
+        "a_numeric": grim_pole(lam, c, down, -1.0),
+        "b_numeric": grim_pole(lam, c, up, 1.0),
         **_counters(down, up),
     }
     return ProfileCurve("grim", {"lam": lam, "c": c}, cols, [down, up], diag)
+
+
+def grim_pole(lam, c, half, sign: float) -> float:
+    """The pole of gamma' past the blow-up stop of a grim reaper half (sign
+    1 up to b, -1 down to a).
+
+    Near the pole gamma' ~ A/(b - y), so d = |gamma'/gamma''| at the stop is
+    about the distance from the stop to the pole.  1/gamma' is fitted by a
+    quadratic in the offset from the stop, at 200 offsets from 0.1 d to d
+    before it, and the pole is the root of smaller magnitude.  At the stop
+    GRIM_BLOW_UP, a line through 1/gamma' on a window of fixed width, 1e-6
+    to 1e-5 before the stop, would miss the poles of verify's grim grid by
+    up to 6.4e-9.
+
+    A half that did not stop in the pole's regime ends at its last sample:
+    at its span end, where gamma reached its stop first, or with d over half
+    the length of the half (at the steepest slopes c).
+    """
+    y_stop = float(half.t_end)
+    gamma, gamma_p = half.y[-1]
+    if half.termination != "blow_up" or np.argmax(np.abs(half.y[-1]) / _GRIM_STOP) == 0:
+        return y_stop
+    d = abs(gamma_p / grim_reaper_rhs(lam, c, y_stop, gamma, gamma_p)[1])
+    if d > 0.5 * abs(y_stop - half.t[0]):
+        return y_stop
+    x = np.linspace(-1.0, -0.1, 200)
+    p2, p1, p0 = (float(p) for p in np.polyfit(x, sign / half(y_stop + sign * d * x)[:, 1], 2))
+    # the root of smaller magnitude, in the form free of cancellation
+    root = -2.0 * p0 / (p1 + math.copysign(math.sqrt(max(p1 * p1 - 4.0 * p2 * p0, 0.0)), p1))
+    return y_stop + sign * float(d) * root
 
 
 def _both_ways(rhs, down, up, args, rtol: float = ode.DEFAULT_RTOL,
@@ -283,7 +329,8 @@ def grim_windows_job(lams, c: float, y_max: float):
             raise ValueError("window exceeds the slab of definition")
     pairs = yield from _both_ways(_grim_lanes, [(0.0, -y_max, (0.0, 0.0))] * len(lams),
                                   [(0.0, y_max, (0.0, 0.0))] * len(lams),
-                                  (lams, [c] * len(lams)))
+                                  _grim_args(np.array(lams, dtype=float),
+                                             np.full(len(lams), float(c))))
     return [_joined(down, up) for down, up in pairs]
 
 
@@ -299,10 +346,20 @@ BOWL_SAMPLES = 1500
 
 def rotational_rhs(lam: float, r, phi_p):
     """phi'' for the rotational graph z = phi(r); singular at r = 0."""
+    return _rotational_pp(r, phi_p, *_rotational_args(lam))
+
+
+def _rotational_args(lam):
+    """The arguments of ``_rotational_lanes``: lam, sqrt(lam) and
+    1/sqrt(lam)."""
+    s = np.sqrt(lam)
+    return lam, s, 1.0 / s
+
+
+def _rotational_pp(r, phi_p, lam, s, inv_s):
     if np.count_nonzero(r <= 0):
         raise ValueError("rotational ODE is singular at r <= 0; use a series start")
-    s = np.sqrt(lam)
-    return 1.0 / s + 4.0 * phi_p / (r * (4.0 + lam * r * r)) * (
+    return inv_s + 4.0 * phi_p / (r * (4.0 + lam * r * r)) * (
         s * r * phi_p - 1.0 - lam * phi_p * phi_p
     )
 
@@ -325,8 +382,8 @@ def radial_graph_jet(lam: float, r, phi, phi_p) -> GraphJet:
     )
 
 
-def _rotational_lanes(r, state, lam):
-    return state[1], rotational_rhs(lam, r, state[1])
+def _rotational_lanes(r, state, lam, s, inv_s):
+    return state[1], _rotational_pp(r, state[1], lam, s, inv_s)
 
 
 def solve_bowl(lam: float, r_max: float, rtol: float = ode.DEFAULT_RTOL,
@@ -336,8 +393,9 @@ def solve_bowl(lam: float, r_max: float, rtol: float = ode.DEFAULT_RTOL,
     # kept on ode.integrate: the perfbench tracer counts ode.rhs_calls only
     # there, and its self-test needs that count > 0 on the construct
     # workload, where this single bowl is the only caller
-    traj = ode.integrate(ode.OdeProblem(partial(_rotational_lanes, lam=lam), (phi0, psi0),
-                                        (delta, r_max), rtol=rtol, atol=atol))
+    lam, s, inv_s = _rotational_args(lam)
+    traj = ode.integrate(ode.OdeProblem(partial(_rotational_lanes, lam=lam, s=s, inv_s=inv_s),
+                                        (phi0, psi0), (delta, r_max), rtol=rtol, atol=atol))
     return _bowl_profile(lam, r_max, BOWL_SAMPLES, traj)
 
 
@@ -346,7 +404,7 @@ def bowls_job(lams, r_max: float, n_samples: int = BOWL_SAMPLES):
     are asked for as one ``Lanes``."""
     starts = _bowl_starts(lams, r_max)
     trajs = yield Lanes(_rotational_lanes, [(delta, r_max, y0) for delta, y0 in starts],
-                        (np.array(lams),))
+                        _rotational_args(np.array(lams)))
     return [_bowl_profile(lam, r_max, n_samples, traj) for lam, traj in zip(lams, trajs)]
 
 
@@ -387,13 +445,22 @@ def _bowl_profile(lam, r_max, n_samples, traj) -> ProfileCurve:
 
 def catenoid_neck_rhs(lam: float, f, f_p):
     """f'' of the neck profile (the surface (f(z)cos v2, f(z)sin v2, z))."""
+    return _neck_fpp(f, f_p, *_neck_args(lam))
+
+
+def _neck_args(lam):
+    """The arguments of ``_neck_lanes``: lam, sqrt(lam) and lam*sqrt(lam)."""
+    s = np.sqrt(lam)
+    return lam, s, lam * s
+
+
+def _neck_fpp(f, f_p, lam, s, ls):
     if np.count_nonzero(f <= 0):
         raise ValueError("neck radius must stay positive")
-    s = np.sqrt(lam)
     lf = lam * f
     fp3 = f_p * f_p * f_p
     return 4.0 / (s * f * (4.0 + lf * f)) * (
-        lam * s + s * f_p * f_p - f * fp3 - lf * f_p - 0.25 * lf * f * f * fp3
+        ls + s * f_p * f_p - f * fp3 - lf * f_p - 0.25 * lf * f * f * fp3
     )
 
 
@@ -413,8 +480,8 @@ def apex_series_start(lam: float, f0: float):
     return delta, (f0 + 0.5 * fpp0 * delta * delta, fpp0 * delta)
 
 
-def _neck_lanes(z, state, lam):
-    return state[1], catenoid_neck_rhs(lam, state[0], state[1])
+def _neck_lanes(z, state, lam, s, ls):
+    return state[1], _neck_fpp(state[0], state[1], lam, s, ls)
 
 
 def necks_job(lams, f0: float, z_max: float, rtol: float = ode.DEFAULT_RTOL,
@@ -427,7 +494,7 @@ def necks_job(lams, f0: float, z_max: float, rtol: float = ode.DEFAULT_RTOL,
     pairs = yield from _both_ways(_neck_lanes,
                                   [(-delta, -z_max, (f, -fp)) for delta, (f, fp) in starts],
                                   [(delta, z_max, (f, fp)) for delta, (f, fp) in starts],
-                                  (lams,), rtol, atol)
+                                  _neck_args(np.array(lams, dtype=float)), rtol, atol)
     return [(_joined(down, up, partial(_apex_taylor, lam, f0)), (down, up))
             for lam, (down, up) in zip(lams, pairs)]
 
@@ -515,7 +582,7 @@ def catenoid_job(lam: float, f0: float, r_max: float = 200.0,
     # the lower and upper arm, out from their junctions
     [(arm_m, arm_p)] = yield from _both_ways(
         _rotational_lanes, [(c0m, r_max, (-eps, 1.0 / c1m))],
-        [(c0p, r_max, (eps, 1.0 / c1p))], ([lam],), rtol, atol)
+        [(c0p, r_max, (eps, 1.0 / c1p))], _rotational_args(np.array([lam])), rtol, atol)
     for arm in (arm_m, arm_p):
         _check_reach(arm, r_max)
 
@@ -591,7 +658,15 @@ def helicoid_curvature(lam, c, tau, nu):
     """Prescribed curvature of the arc-length generating curve."""
     if np.count_nonzero(c) < np.size(c):
         raise ValueError("pitch must be nonzero")
-    sc, c4 = np.sqrt(lam) * c, 4.0 * c
+    return _helicoid_k(tau, nu, *_helicoid_args(lam, c))
+
+
+def _helicoid_args(lam, c):
+    """The arguments of ``_helicoid_lanes``: lam, c, sqrt(lam)*c and 4c."""
+    return lam, c, np.sqrt(lam) * c, 4.0 * c
+
+
+def _helicoid_k(tau, nu, lam, c, sc, c4):
     tt, nn = tau * tau, nu * nu
     r2 = tt + nn
     q = 4.0 * tt + lam * (c4 * (c - tt) + tt * r2)
@@ -635,8 +710,9 @@ def helicoid_patch_jet(lam: float, c: float, g1, g2, th, v2: float = 0.0) -> Pat
     return PatchJet(p, v1, w2, d1, d2)
 
 
-def _helicoid_lanes(s, state, lam, c):
-    return helicoid_rhs(lam, c, state)
+def _helicoid_lanes(s, state, lam, c, sc, c4):
+    ct, st, tau, nu = _helicoid_frame(*state)
+    return ct, st, _helicoid_k(tau, nu, lam, c, sc, c4)
 
 
 def solve_helicoid(params: HelicoidParams, s_span: float = 50.0,
@@ -672,7 +748,7 @@ def helicoids_job(params, s_span: float = 50.0,
     patch_shape(lams, helicoid_patch_jet(lams, pitches, *np.reshape(seeds, (-1, 3)).T))
     pairs = yield from _both_ways(_helicoid_lanes, [(0.0, -s_span, y0) for y0 in seeds],
                                   [(0.0, s_span, y0) for y0 in seeds],
-                                  (lams, pitches), rtol, atol)
+                                  _helicoid_args(lams, pitches), rtol, atol)
     return [_helicoid_profile(p, s_span, down, up)
             for p, (down, up) in zip(params, pairs)]
 
@@ -723,9 +799,12 @@ class Lanes(NamedTuple):
     atol: float = ode.DEFAULT_ATOL
 
 
-# the order in which each pass of ``solve_jobs`` takes the right-hand sides:
-# the catenoid arms (rotational) start at the junctions of its neck
-_RHS_ORDER = (_grim_lanes, _neck_lanes, _helicoid_lanes, _rotational_lanes)
+# the right-hand sides in the order in which each pass of ``solve_jobs`` takes
+# them (the catenoid arms, rotational, start at the junctions of its neck),
+# with the blow-up stop of each
+_RHS_STOPS = {_grim_lanes: _GRIM_STOP, _neck_lanes: ode.BLOW_UP_THRESHOLD,
+              _helicoid_lanes: ode.BLOW_UP_THRESHOLD,
+              _rotational_lanes: ode.BLOW_UP_THRESHOLD}
 
 
 def solve_jobs(*jobs) -> list:
@@ -735,11 +814,12 @@ def solve_jobs(*jobs) -> list:
     trajectories, in lane order, until it returns its result.  Every job
     runs up to its first request before anything is integrated, so a job
     that rejects its parameters does so before any solve.  A pass takes the
-    right-hand sides in ``_RHS_ORDER`` and integrates the lanes that the
-    waiting jobs ask of one right-hand side as one ``ode.solve_ivp`` call,
-    each lane at its own tolerances; a request made during a pass joins the
-    call of its right-hand side if that call is still to come.  A lane's
-    result does not depend on the call it runs in.
+    right-hand sides in the order of ``_RHS_STOPS`` and integrates the lanes
+    that the waiting jobs ask of one right-hand side as one ``ode.solve_ivp``
+    call, at the stop of that right-hand side and each lane at its own
+    tolerances; a request made during a pass joins the call of its
+    right-hand side if that call is still to come.  A lane's result does not
+    depend on the call it runs in.
     """
     results = [None] * len(jobs)
     waiting = {}
@@ -750,14 +830,14 @@ def solve_jobs(*jobs) -> list:
         except StopIteration as done:
             results[i] = done.value
             return
-        if lanes.rhs not in _RHS_ORDER:
+        if lanes.rhs not in _RHS_STOPS:
             raise ValueError(f"no joint solve for the right-hand side {lanes.rhs!r}")
         waiting[i] = lanes
 
     for i in range(len(jobs)):
         resume(i)
     while waiting:
-        for rhs in _RHS_ORDER:
+        for rhs, stop in _RHS_STOPS.items():
             batch = [i for i, lanes in waiting.items() if lanes.rhs is rhs]
             if not batch:
                 continue
@@ -769,7 +849,8 @@ def solve_jobs(*jobs) -> list:
                 [y0 for _, _, y0 in problems],
                 args=tuple(np.concatenate(a) for a in zip(*(lanes.args for lanes in requests))),
                 rtol=np.repeat([lanes.rtol for lanes in requests], counts),
-                atol=np.repeat([lanes.atol for lanes in requests], counts)).trajectories
+                atol=np.repeat([lanes.atol for lanes in requests], counts),
+                stop=stop).trajectories
             ends = np.cumsum(counts)
             for i, end, n in zip(batch, ends, counts):
                 resume(i, trajs[end - n:end])

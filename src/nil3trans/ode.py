@@ -15,8 +15,9 @@ ends, one pass builds the interpolants of all accepted steps of a call;
 they make every trajectory's dense output and locate its blow-up stop.  On
 top of the loop this module adds: a check that each call's data are
 finite, trajectories whose dense output refuses to extrapolate, the
-sup-norm blow-up stop (the one stopping rule the constructions need) and a
-cap on the step attempts of a call.
+blow-up stop (the one stopping rule the constructions need) at the
+thresholds of each call, ``BLOW_UP_THRESHOLD`` on every component unless the
+caller passes others, and a cap on the step attempts of a call.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import numpy as np
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+# the sup-norm of the state at which a lane stops, unless its call passes a
+# stop of its own
 BLOW_UP_THRESHOLD = 1e10
 # the most step attempts of one call, counted on its slowest lane: a verify
 # run's calls make at most about 560, and 5000 attempts are a few seconds of
@@ -401,8 +404,8 @@ def _interpolate(coef, y_old, x):
 
 
 def _locate_stop(coef, t_old, t_new, h, y_old, threshold):
-    """Time and state where max|y| reaches ``threshold`` on each lane's step
-    interpolant.
+    """Time and state where some |y_i| reaches its ``threshold`` (a column,
+    one per component) on each lane's step interpolant.
 
     Bisection shrinks each bracket to adjacent floats; of its two ends the
     one nearer the threshold is the stop.  Near a pole a few ulp of t move
@@ -410,7 +413,7 @@ def _locate_stop(coef, t_old, t_new, h, y_old, threshold):
     """
     def gap(t):
         y = _interpolate(coef, y_old, (t - t_old) / h)
-        return threshold - np.abs(y).max(0), y
+        return (threshold - np.abs(y)).min(0), y
 
     lo, hi = t_old, t_new
     while True:
@@ -447,7 +450,8 @@ def _initial_step(rhs, args, t0, y0, f0, t_bound, direction, rtol, atol):
     return np.minimum(np.minimum(100 * h0, h1), interval)
 
 
-def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> Solution:
+def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
+              stop=BLOW_UP_THRESHOLD) -> Solution:
     """Integrate L independent lanes y' = rhs(t, y, *args) with DOP853.
 
     ``y0`` has shape (L, n), ``t_span`` is a pair of length-L arrays (start
@@ -457,13 +461,14 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) ->
     (n, L_active) and returns the n components of y'; lanes that finish
     drop out, and their ``args`` and tolerances with them.
 
-    A lane ends at its span end (``span_end``), once the sup-norm of its
-    state reaches ``BLOW_UP_THRESHOLD`` (``blow_up``; the crossing is
-    located on the step interpolant and replaces the last step sample), or
-    when its step falls under 10 ulp of t (``step_underflow``).  The
-    interpolants of all accepted steps are built in one pass after the loop.
-    ``RuntimeError`` is raised when a lane is still running after
-    ``MAX_ATTEMPTS`` step attempts.
+    A lane ends at its span end (``span_end``), once some component |y_i|
+    of its state reaches its threshold in ``stop`` (``blow_up``; the
+    crossing is located on the step interpolant and replaces the last step
+    sample), or when its step falls under 10 ulp of t (``step_underflow``).
+    ``stop`` holds one threshold per component, or one for all: the
+    sup-norm of the state.  The interpolants of all accepted steps are
+    built in one pass after the loop.  ``RuntimeError`` is raised when a
+    lane is still running after ``MAX_ATTEMPTS`` step attempts.
     """
     t = np.array(t_span[0], dtype=float).reshape(-1)
     t_bound = np.array(t_span[1], dtype=float).reshape(-1)
@@ -487,9 +492,11 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) ->
     lanes = np.arange(n_lanes)
     attempts = np.zeros(n_lanes, dtype=int)  # step attempts, set when a lane ends
     rejected = np.zeros(n_lanes, dtype=bool)
-    # the stop fires when max|y| reaches the threshold from below
+    # the stop fires when the least margin stop_i - |y_i| of a lane reaches 0
+    # from above
+    stop = np.broadcast_to(np.asarray(stop, dtype=float), (n,))[:, None]
     ay = np.abs(y)
-    armed = ay.max(0) <= BLOW_UP_THRESHOLD
+    armed = (stop - ay).min(0) >= 0
     status = ["span_end"] * n_lanes
     # per iteration, of the accepted steps: lanes, t, y, f, t_new, y_new, h,
     # f_new and the stage sums the interpolant goes on from
@@ -548,11 +555,14 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) ->
 
         all_ok = n_ok == len(lanes)
         sel = slice(None) if all_ok else ok
+        # the stage sums the interpolant goes on from, rows 13 on, as their
+        # own array: a view would keep all rows of the step alive
+        rows = acc[N_STAGES + 1:]
         steps.append((lanes[sel], t[sel], y[:, sel], f[:, sel], t_new[sel], y_new[:, sel],
-                      h[sel], f_new[:, sel], acc[N_STAGES + 1:, :, sel]))
+                      h[sel], f_new[:, sel], rows.copy() if all_ok else rows[:, :, ok]))
 
-        peak = ay_new.max(0)
-        crossed = armed & (peak >= BLOW_UP_THRESHOLD)
+        margin = (stop - ay_new).min(0)
+        crossed = armed & (margin <= 0)
         done = crossed | at_end
         if not all_ok:
             crossed &= ok
@@ -560,22 +570,22 @@ def solve_ivp(rhs, t_span, y0, args=(), rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) ->
         n_done = np.count_nonzero(done)
 
         if all_ok:
-            t, y, ay, f, armed = t_new, y_new, ay_new, f_new, peak <= BLOW_UP_THRESHOLD
+            t, y, ay, f, armed = t_new, y_new, ay_new, f_new, margin >= 0
         else:
             t = np.where(ok, t_new, t)
             y = np.where(ok, y_new, y)
             ay = np.where(ok, ay_new, ay)
             f = np.where(ok, f_new, f)
-            armed = np.where(ok, peak <= BLOW_UP_THRESHOLD, armed)
+            armed = np.where(ok, margin >= 0, armed)
         if n_done:
             for lane in lanes[crossed]:
                 status[lane] = "blow_up"
             drop(~done, iteration)
 
-    return _assemble(rhs, start, steps, status, attempts)
+    return _assemble(rhs, start, steps, status, attempts, stop)
 
 
-def _assemble(rhs, start, steps, status, attempts) -> Solution:
+def _assemble(rhs, start, steps, status, attempts, threshold) -> Solution:
     """Build the interpolants of the accepted steps of all iterations in one
     pass, put each blow-up stop in place of its lane's last step sample, and
     sort the steps into one trajectory per lane.
@@ -600,7 +610,7 @@ def _assemble(rhs, start, steps, status, attempts) -> Solution:
         bounds[1:] = np.cumsum(np.bincount(lane_of, minlength=n_lanes))
         last = order[bounds[1:][stop] - 1]
         t_new[last], y_new[:, last] = _locate_stop(coef[..., last], t[last], t_new[last],
-                                                   h[last], y[:, last], BLOW_UP_THRESHOLD)
+                                                   h[last], y[:, last], threshold)
         coef = coef.transpose(0, 2, 1)
     trajs = []
     for lane in range(n_lanes):
@@ -622,7 +632,7 @@ def _assemble(rhs, start, steps, status, attempts) -> Solution:
 
 def integrate(problem: OdeProblem) -> Trajectory:
     """Integrate ``problem`` as a single lane, with dense output, stopping on
-    blow-up (see ``solve_ivp``)."""
+    blow-up at ``BLOW_UP_THRESHOLD`` (see ``solve_ivp``)."""
     t0, t1 = problem.t_span
     return solve_ivp(problem.rhs, ([t0], [t1]), [problem.y0], rtol=problem.rtol,
                      atol=problem.atol).trajectories[0]

@@ -189,9 +189,8 @@ def _grim_grid_job():
         mask = (prof.t >= lo) & (prof.t <= hi)
         closed = fam.grim_reaper_closed_form(lam, c, prof.t[mask])
         sup_cf = np.max(np.abs(prof.data["gamma_prime"][mask] - closed), initial=sup_cf)
-        down, up = prof.trajectories
-        sup_end = max(sup_end, abs(asym.grim_pole(down, -1.0)[0] - sl.a_endpoint),
-                      abs(asym.grim_pole(up, 1.0)[0] - sl.b_endpoint))
+        sup_end = max(sup_end, abs(prof.diagnostics["a_numeric"] - sl.a_endpoint),
+                      abs(prof.diagnostics["b_numeric"] - sl.b_endpoint))
         # Thm 1.1(2)'s width against the endpoints of Thm 3.1(2)
         sup_width = max(sup_width, abs(sl.width - (sl.b_endpoint - sl.a_endpoint)))
     checks.append(_check("grim-closed-form-sup-error",

@@ -111,6 +111,50 @@ class TestGrimReaper:
         assert max(errs) < 1e-6
         assert prof.residual_sup < 1e-7
 
+    def test_ends_are_the_refined_poles(self):
+        # the halves stop at |gamma'| = GRIM_BLOW_UP, up to 4.4e-4 short of
+        # the slab endpoints here; the ends read from the fitted poles lie
+        # within 1e-9 of them (the stops at 1e10 read 4.4e-7)
+        prof = solve_grim_reaper(GrimReaperParams(4.0, 2.0), rtol=1e-13, atol=1e-15,
+                                 derived=False)
+        diag = prof.diagnostics
+        sl = diag["slab"]
+        assert abs(diag["a_numeric"] - sl.a_endpoint) <= 1e-9
+        assert abs(diag["b_numeric"] - sl.b_endpoint) <= 1e-9
+        for half in prof.trajectories:
+            assert half.termination == "blow_up"
+            assert np.max(np.abs(half.y[-1])) == pytest.approx(families.GRIM_BLOW_UP, rel=1e-6)
+
+    def test_steep_slope_reaches_the_pole(self):
+        # gamma passes 1e7 long before gamma' nears its pole at b, so a
+        # sup-norm stop at 1e7 would end the upper half far inside the slab;
+        # gamma' alone stops at GRIM_BLOW_UP (the stops at 1e10 read 1.1e-3)
+        prof = solve_grim_reaper(GrimReaperParams(4.0, 100.0), derived=False)
+        up = prof.trajectories[1]
+        assert abs(up.y[-1, 0]) > 1e7
+        assert abs(up.y[-1, 1]) == pytest.approx(families.GRIM_BLOW_UP, rel=1e-6)
+        assert abs(prof.diagnostics["b_numeric"] - prof.diagnostics["slab"].b_endpoint) <= 1e-5
+
+    @pytest.mark.parametrize("lam, c, halves", [
+        (4.0, 1e4, (1,)),  # the upper half stops where gamma reaches 1e10
+        (1e-12, 1e12, (0, 1)),  # gamma' ~ 1e12 * theta passes 1e7 near the seed
+    ])
+    def test_half_stopped_off_the_pole_ends_at_its_last_sample(self, lam, c, halves):
+        prof = solve_grim_reaper(GrimReaperParams(lam, c), derived=False)
+        for i in halves:
+            half = prof.trajectories[i]
+            assert half.termination == "blow_up"
+            assert prof.diagnostics[("a_numeric", "b_numeric")[i]] == half.t_end
+
+    def test_blow_up_stop_belongs_to_the_right_hand_side(self):
+        # the grim lanes stop at GRIM_BLOW_UP, a lane of any other
+        # right-hand side at ode.BLOW_UP_THRESHOLD: y' = y^2, y(0) = 1 has its
+        # pole at t = 1
+        assert families.GRIM_BLOW_UP < ode.BLOW_UP_THRESHOLD
+        [traj] = ode.solve_ivp(lambda t, y: y * y, ([0.0], [2.0]), [[1.0]]).trajectories
+        assert traj.termination == "blow_up"
+        assert abs(traj.y[-1, 0]) == pytest.approx(ode.BLOW_UP_THRESHOLD, rel=1e-6)
+
     def test_derived_flag(self):
         prof = solve_grim_reaper(GrimReaperParams(1.0, 0.0), derived=False)
         assert list(prof.data) == ["y", "gamma", "gamma_prime"]
@@ -541,3 +585,43 @@ class TestSolverCounters:
         # the apex z = 0 (their heights both grow like r^2 far out)
         down, up = solve_catenoid(1.0, 1.0).trajectories
         assert down.y[0, 0] < 0.0 < up.y[0, 0]
+
+
+class TestLaneKernels:
+    """Each lane right-hand side, with the constants its job computes once
+    per solve, gives the values of the public function bit for bit."""
+
+    @staticmethod
+    def lanes(n=64, seed=26):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(0.25, 16.0, n), rng.uniform(-3.0, 3.0, (4, n))
+
+    @staticmethod
+    def same(a, b):
+        assert len(a) == len(b)
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+    def test_grim(self):
+        lam, (c, y, g, gp) = self.lanes()
+        c = np.abs(c)
+        self.same(families._grim_lanes(y, np.array([g, gp]), *families._grim_args(lam, c)),
+                  grim_reaper_rhs(lam, c, y, g, gp))
+
+    def test_rotational(self):
+        lam, (r, phi, psi, _) = self.lanes()
+        r = np.abs(r) + 1e-3
+        self.same(families._rotational_lanes(r, np.array([phi, psi]),
+                                             *families._rotational_args(lam)),
+                  (psi, rotational_rhs(lam, r, psi)))
+
+    def test_neck(self):
+        lam, (z, f, fp, _) = self.lanes()
+        f = np.abs(f) + 1e-3
+        self.same(families._neck_lanes(z, np.array([f, fp]), *families._neck_args(lam)),
+                  (fp, catenoid_neck_rhs(lam, f, fp)))
+
+    def test_helicoid(self):
+        lam, (c, g1, g2, th) = self.lanes()
+        state = np.array([g1, g2, th])
+        self.same(families._helicoid_lanes(0.0, state, *families._helicoid_args(lam, c)),
+                  helicoid_rhs(lam, c, state))

@@ -152,15 +152,29 @@ class TestBlowUp:
         assert np.array_equal(traj.y[-1], traj(traj.t_end))
         assert np.max(np.abs(traj.y[-1])) == pytest.approx(BLOW_UP_THRESHOLD, rel=1e-6)
 
-    def test_threshold_monotone_approach(self, monkeypatch):
+    def test_threshold_monotone_approach(self):
         prob, sl = self.grim_problem()
         ends = []
         for th in (1e4, 1e5, 1e6, 1e7, 1e8):
-            monkeypatch.setattr(ode, "BLOW_UP_THRESHOLD", th)
-            ends.append(integrate(prob).t_end)
+            [traj] = ode.solve_ivp(prob.rhs, ([0.0], [prob.t_span[1]]), [prob.y0],
+                                   stop=th).trajectories
+            ends.append(traj.t_end)
         assert all(b > a for a, b in zip(ends, ends[1:]))
         assert all(e < sl.b_endpoint for e in ends)
         assert sl.b_endpoint - ends[-1] < 1e-3
+
+
+    def test_stop_per_component(self):
+        # y0 grows linearly to 1e8, y1 = 1/(1 - t) has its pole at t = 1: a
+        # scalar stop reads the sup-norm, a pair of thresholds one each
+        def rhs(t, y):
+            return np.array([np.full_like(y[0], 1e8), y[1] * y[1]])
+
+        for stop, end, component in ((1e6, 1e-2, 0), ((1e10, 1e6), 1.0 - 1e-6, 1)):
+            [traj] = ode.solve_ivp(rhs, ([0.0], [2.0]), [[0.0, 1.0]], stop=stop).trajectories
+            assert traj.termination == "blow_up"
+            assert traj.t_end == pytest.approx(end, rel=1e-6)
+            assert abs(traj.y[-1, component]) == pytest.approx(1e6, rel=1e-6)
 
 
 class TestAttemptCap:

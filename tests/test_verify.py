@@ -88,8 +88,8 @@ def test_run_suite_solves_each_shared_profile_once(monkeypatch):
     assert verify.run_suite("all")["passed"]
     assert len(set(lanes)) == len(lanes)
     bowl_1_200 = [lane for lane in lanes if lane[0] is families._rotational_lanes
-                  and lane[2:] == (200.0, families.bowl_series_start(1.0)[1], 1.0,
-                                   ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)]
+                  and lane[2:5] + lane[-2:] == (200.0, families.bowl_series_start(1.0)[1], 1.0,
+                                                ode.DEFAULT_RTOL, ode.DEFAULT_ATOL)]
     helicoid_1_1_1 = [lane for lane in lanes if lane[0] is families._helicoid_lanes
                       and lane[3:6] == ((1.0, 0.0, 0.5 * np.pi), 1.0, 1.0)]
     assert len(bowl_1_200) == 1 and len(helicoid_1_1_1) == 2
@@ -105,3 +105,21 @@ def test_run_suite_makes_one_solve_per_right_hand_side_and_site(monkeypatch):
     assert verify.run_suite("all")["passed"]
     assert calls == [families._grim_lanes, families._neck_lanes,
                      families._helicoid_lanes, families._rotational_lanes]
+
+
+def test_slowest_grim_lane_of_a_run_makes_at_most_400_attempts(monkeypatch):
+    # with the grim stop at GRIM_BLOW_UP = 1e7 (551 attempts at 1e10); a
+    # trajectory makes 2 evaluations for its first step, 12 per attempt and
+    # 3 more for a blow-up stop
+    slowest = {}
+    solve_ivp = ode.solve_ivp
+
+    def spy(rhs, *args, **kwargs):
+        sol = solve_ivp(rhs, *args, **kwargs)
+        slowest[rhs] = max((tr.nfev - 2 - 3 * (tr.termination == "blow_up")) // ode.N_STAGES
+                           for tr in sol.trajectories)
+        return sol
+
+    monkeypatch.setattr(ode, "solve_ivp", spy)
+    assert verify.run_suite("all")["passed"]
+    assert slowest[families._grim_lanes] <= 400
