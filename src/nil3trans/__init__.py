@@ -61,7 +61,6 @@ from .families import (
     grim_reaper_closed_form,
     grim_reaper_rhs,
     helicoid_curvature,
-    helicoid_rhs,
     planar_grim_reaper,
     rotational_rhs,
     slab,

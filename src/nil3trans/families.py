@@ -47,9 +47,9 @@ from .core import KillingField, Point, _lam_value, killing_flow, vertical_transl
 from .surface import (
     GraphJet,
     PatchJet,
+    ambient_tangent_curvature,
     gaussian_curvature,
     graph_shape,
-    intrinsic_curvature,
     patch_shape,
     translator_residual,
 )
@@ -307,7 +307,8 @@ def _shape_columns(lam: float, shape, graph_jet: GraphJet | None = None) -> dict
         "K_gauss": gaussian_curvature(shape),
     }
     if graph_jet is not None:
-        cols["K_intrinsic"] = intrinsic_curvature(lam, graph_jet, shape)
+        # the Gauss equation, as ``surface.intrinsic_curvature``
+        cols["K_intrinsic"] = ambient_tangent_curvature(lam, graph_jet) + cols["K_gauss"]
     return cols
 
 
@@ -419,16 +420,7 @@ def _check_finite_r_max(r_max):
         raise ValueError(f"r_max must be finite, got {r_max:g}")
 
 
-def _check_reach(arm, r_max):
-    """Raise ``ValueError`` when the rotational ``arm`` stopped at the blow-up
-    threshold before ``r_max``, so its profile cannot be sampled there."""
-    if arm.termination == "blow_up" and arm.t_end < r_max:
-        raise ValueError(f"r_max {r_max:g} lies past r = {arm.t_end:.6g}, where the arm "
-                         f"reaches the blow-up threshold {ode.BLOW_UP_THRESHOLD:g}")
-
-
 def _bowl_profile(lam, r_max, n_samples, traj) -> ProfileCurve:
-    _check_reach(traj, r_max)
     rs = np.linspace(traj.t[0], r_max, n_samples)
     states = traj(rs)
     cols = {"r": rs, "phi": states[:, 0], "psi": states[:, 1]}
@@ -505,16 +497,15 @@ CATENOID_NECK_SAMPLES = 201
 
 
 def _gluing_offset(lam, f):
-    """Largest eps <= GLUING_EPS_CAP with f'' > 0 and f' strictly monotone on
+    """Largest eps <= GLUING_EPS_CAP with f'' > 0, so f' increasing, on
     (0, 2*eps], for the neck ``f`` on [-2 GLUING_EPS_CAP, 2 GLUING_EPS_CAP].
 
-    The construction only needs some eps with these properties; they are
+    The construction only needs some eps with this property; it is
     validated on a fine grid of the neck solution.
     """
     zs = np.linspace(1e-3, 2.0 * GLUING_EPS_CAP, 400)
     vals = f(zs)
-    fpp = catenoid_neck_rhs(lam, vals[:, 0], vals[:, 1])
-    good = (fpp > 0) & (np.diff(vals[:, 1], prepend=vals[0, 1] - 1e-16) > 0)
+    good = catenoid_neck_rhs(lam, vals[:, 0], vals[:, 1]) > 0
     if not good[0]:
         raise RuntimeError("neck solution is not convex near the apex")
     bad = np.nonzero(~good)[0]
@@ -554,8 +545,6 @@ def catenoid_job(lam: float, f0: float, r_max: float = 200.0,
     [(arm_m, arm_p)] = yield from _both_ways(
         _rotational_lanes, [(c0m, r_max, (-eps, 1.0 / c1m))],
         [(c0p, r_max, (eps, 1.0 / c1p))], _rotational_args(np.array([lam])), rtol, atol)
-    for arm in (arm_m, arm_p):
-        _check_reach(arm, r_max)
 
     # sample the curve in order: lower arm from large r down, neck bottom to
     # top, upper arm up; the two arms share one graph kernel call
@@ -651,12 +640,6 @@ def _helicoid_frame(g1, g2, th):
     of the position (g1, g2) in the frame of the tangent angle theta."""
     ct, st = np.cos(th), np.sin(th)
     return ct, st, g1 * ct + g2 * st, g2 * ct - g1 * st
-
-
-def helicoid_rhs(lam, c, state):
-    """State derivative for (gamma1, gamma2, theta) with theta the tangent angle."""
-    ct, st, tau, nu = _helicoid_frame(*state)
-    return ct, st, helicoid_curvature(lam, c, tau, nu)
 
 
 def helicoid_patch_jet(lam: float, c: float, g1, g2, th, v2: float = 0.0) -> PatchJet:
@@ -772,10 +755,11 @@ class Lanes(NamedTuple):
 
 # the right-hand sides in the order in which each pass of ``solve_jobs`` takes
 # them (the catenoid arms, rotational, start at the junctions of its neck),
-# with the blow-up stop of each
+# with the blow-up stop of each.  Only the grim and neck ODEs have poles (the
+# slab ends, a neck that turns): the rotational graphs are entire, and on a
+# helicoid arm |gamma| <= r0 + s_span while theta moves O(1) a step
 _RHS_STOPS = {_grim_lanes: _GRIM_STOP, _neck_lanes: ode.BLOW_UP_THRESHOLD,
-              _helicoid_lanes: ode.BLOW_UP_THRESHOLD,
-              _rotational_lanes: ode.BLOW_UP_THRESHOLD}
+              _helicoid_lanes: math.inf, _rotational_lanes: math.inf}
 
 
 def solve_jobs(*jobs) -> list:

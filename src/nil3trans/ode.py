@@ -7,17 +7,18 @@ the tight tolerances (rtol 1e-13) of the closed-form comparisons.
 ``solve_ivp`` steps L independent initial value problems of one right-hand
 side ("lanes") together as arrays; each lane keeps its own step size, error
 norm, rejection state and stop, so a lane's result does not depend on the
-batch it runs in.  ``integrate`` is the one-lane call.  The step controller
-is the one of HNW sec. II.4.  The global error of DOP853 per unit of
-``rtol`` is several times that of the 5(4) pair, so the controller runs at
-``rtol / RTOL_SAFETY``, but never below ``RTOL_FLOOR``.  Once the loop
-ends, one pass builds the interpolants of all accepted steps of a call;
-they make every trajectory's dense output and locate its blow-up stop.  On
-top of the loop this module adds: a check that each call's data are
-finite, trajectories whose dense output refuses to extrapolate, the
-blow-up stop (the one stopping rule the constructions need) at the
-thresholds of each call, ``BLOW_UP_THRESHOLD`` on every component unless the
-caller passes others, and a cap on the step attempts of a call.
+batch it runs in.  ``integrate`` is the one-lane call, with no stop.  The
+step controller is the one of HNW sec. II.4.  The global error of DOP853
+per unit of ``rtol`` is several times that of the 5(4) pair, so the
+controller runs at ``rtol / RTOL_SAFETY``, but never below ``RTOL_FLOOR``.
+Once the loop ends, one pass builds the interpolants of all accepted steps
+of a call; they make every trajectory's dense output and locate its
+blow-up stop.  On top of the loop this module adds: a check that each
+call's data are finite, trajectories whose dense output refuses to
+extrapolate, the blow-up stop (the one stopping rule the constructions
+need) at the thresholds of each call, ``BLOW_UP_THRESHOLD`` on every
+component unless the caller passes others, and a cap on the step attempts
+of a call.
 """
 
 from __future__ import annotations
@@ -631,9 +632,9 @@ def _assemble(rhs, start, steps, status, attempts, threshold) -> Solution:
 
 
 def integrate(problem: OdeProblem) -> Trajectory:
-    """Integrate ``problem`` as a single lane, with dense output, stopping on
-    blow-up at ``BLOW_UP_THRESHOLD`` (see ``solve_ivp``)."""
+    """Integrate ``problem`` as a single lane, with dense output and no
+    blow-up stop (see ``solve_ivp``)."""
     t0, t1 = problem.t_span
     return solve_ivp(problem.rhs, ([t0], [t1]), [problem.y0], rtol=problem.rtol,
-                     atol=problem.atol).trajectories[0]
+                     atol=problem.atol, stop=np.inf).trajectories[0]
 

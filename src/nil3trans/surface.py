@@ -83,9 +83,11 @@ class PatchJet:
 
 @dataclass(frozen=True)
 class ShapeData:
-    """Induced metric, second fundamental form, mean curvature and unit normal."""
+    """Induced metric, its determinant, second fundamental form, mean
+    curvature and unit normal."""
 
     g: tuple  # ((g11, g12), (g12, g22))
+    det_g: float  # as the kernel computes it, not from the rounded entries of g
     A: tuple  # ((h11, h12), (h12, h22))
     H: float
     normal: FrameVector
@@ -94,7 +96,7 @@ class ShapeData:
 def graph_shape(lam: float, jet: GraphJet) -> ShapeData:
     """Shape data of a horizontal graph from its second-order jet."""
     a, b = jet.alpha, jet.beta
-    w2 = 1.0 + lam * (a * a + b * b)
+    w2 = 1.0 + lam * (a * a + b * b)  # det g
     g = ((1.0 + a * a * lam, a * b * lam), (a * b * lam, 1.0 + b * b * lam))
     s = lam / np.sqrt(lam * w2)
     A = (
@@ -112,7 +114,7 @@ def graph_shape(lam: float, jet: GraphJet) -> ShapeData:
     )
     nrm = np.sqrt(lam * w2)
     normal = FrameVector(jet.point, -a * lam / nrm, -b * lam / nrm, 1.0 / nrm)
-    return ShapeData(g=g, A=A, H=H, normal=normal)
+    return ShapeData(g=g, det_g=w2, A=A, H=H, normal=normal)
 
 
 def patch_covariant(lam: float, jet: PatchJet, i: int, j: int) -> FrameVector:
@@ -154,12 +156,7 @@ def patch_shape(lam, jet: PatchJet) -> ShapeData:
     h12 = 0.5 * (h[0][1] + h[1][0])  # symmetrize round-off
     A = ((h[0][0], h12), (h12, h[1][1]))
     H = (A[0][0] * g22 - 2.0 * A[0][1] * g12 + A[1][1] * g11) / det_g
-    return ShapeData(
-        g=((g11, g12), (g12, g22)),
-        A=A,
-        H=H,
-        normal=normal,
-    )
+    return ShapeData(g=((g11, g12), (g12, g22)), det_g=det_g, A=A, H=H, normal=normal)
 
 
 def _cross(u, w):
@@ -171,13 +168,9 @@ def _cross(u, w):
 
 
 def gaussian_curvature(shape: ShapeData) -> float:
-    """Extrinsic Gaussian curvature det(A g^{-1})."""
-    (g11, g12), (_, g22) = shape.g
-    det_g = g11 * g22 - g12 * g12
-    if np.any(det_g == 0.0):
-        raise ValueError("singular induced metric")
+    """Extrinsic Gaussian curvature det(A g^{-1}) = det A / det g."""
     (a11, a12), (_, a22) = shape.A
-    return (a11 * a22 - a12 * a12) / det_g
+    return (a11 * a22 - a12 * a12) / shape.det_g
 
 
 def ambient_tangent_curvature(lam: float, jet: GraphJet) -> float:

@@ -258,23 +258,24 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
 
     def test_numerical_failure_exit_code(self, capsys):
-        # the neck at lambda = 100, f0 = 0.01 is not convex near its apex; at
-        # lambda = 1e-12 the arms start at slope 1e13 and end in a step
-        # underflow at once
-        for argv in (["catenoid", "--lambda", "100", "--f0", "0.01"],
+        # the neck at lambda = 100, f0 = 1e-3 is not convex near its apex
+        # (f''(1e-3) = -1.1e5); at lambda = 1e-12 the arms start at slope 1e13
+        # and end in a step underflow at once
+        for argv in (["catenoid", "--lambda", "100", "--f0", "1e-3"],
                      ["catenoid", "--lambda", "1e-12", "--span", "100"]):
             assert main(argv) == 3
             err = capsys.readouterr().err
             assert err.startswith("error: numerical failure:") and "Traceback" not in err
 
     @pytest.mark.parametrize("family", ["bowl", "catenoid"])
-    def test_span_past_the_blow_up_names_it(self, capsys, family):
-        # once the integrator's "dense output requested outside the
-        # integrated range" line
-        assert main([family, "--span", "1e6"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: r_max 1e+06 ") and "141421" in err
-        assert err.count("\n") == 1
+    def test_entire_graph_runs_past_the_old_blow_up_stop(self, tmp_path, family):
+        # once exit 2: the arm stopped where |phi| reached 1e10, at r = 141421;
+        # out there K_gauss has nearly reached its tail value -lam/4
+        path = tmp_path / "out.csv"
+        assert main([family, "--span", "1e6", "--out", str(path)]) == 0
+        header = path.read_text().split("\n", 1)[0].split(",")
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert data[-1, header.index("K_gauss")] == pytest.approx(-0.25, abs=1e-11)
 
     @pytest.mark.parametrize("family, span", [("bowl", "nan"), ("bowl", "inf"),
                                               ("catenoid", "nan"), ("catenoid", "inf")])
@@ -295,8 +296,6 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["helicoid", "--span", "-3"],
         ["helicoid", "--span", "1e300"],  # once ran until killed
-        ["bowl", "--span", "1e6"],  # samples past the blow-up stop
-        ["catenoid", "--span", "1e6"],
         ["bowl", "--span", "1e-5"],  # below the series start
         ["bowl", "--rtol", "2"],
         ["catenoid", "--span", "0.5"],  # below the junction radius
@@ -347,6 +346,9 @@ class TestCli:
         # the integrator's finiteness check
         ["grim", "--c", "1e155"],
         ["grim", "--c", "1e300"],
+        # a term of order r^3 overflows, from r = 5.05e102 at lambda = 1: w2^(3/2)
+        # in the graph kernel, or r (4 + lam r^2) in the rotational ODE
+        ["bowl", "--span", "1e103"],
         # a subnormal direction overflows pi/speed in Python floats: once
         # all-nan csv and obj output with exit 0, and exit 2 from the json
         # encoder

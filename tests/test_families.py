@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from nil3trans.families import (
     grim_reaper_rhs,
     helicoid_curvature,
     helicoid_kprime_numerator,
-    helicoid_rhs,
     necks_job,
     planar_grim_reaper,
+    radial_graph_jet,
     rotational_rhs,
     slab,
     solve_bowl,
@@ -27,7 +28,7 @@ from nil3trans.families import (
     solve_jobs,
     sweep_surface,
 )
-from nil3trans.surface import PatchJet, patch_shape, translator_residual
+from nil3trans.surface import PatchJet, graph_shape, patch_shape, translator_residual
 
 
 class TestGrimReaper:
@@ -146,10 +147,13 @@ class TestGrimReaper:
             assert prof.diagnostics[("a_numeric", "b_numeric")[i]] == half.t_end
 
     def test_blow_up_stop_belongs_to_the_right_hand_side(self):
-        # the grim lanes stop at GRIM_BLOW_UP, a lane of any other
-        # right-hand side at ode.BLOW_UP_THRESHOLD: y' = y^2, y(0) = 1 has its
-        # pole at t = 1
+        # the grim lanes stop at GRIM_BLOW_UP, the neck lanes and a call with
+        # no stop of its own at ode.BLOW_UP_THRESHOLD, the rotational and
+        # helicoid lanes nowhere: y' = y^2, y(0) = 1 has its pole at t = 1
         assert families.GRIM_BLOW_UP < ode.BLOW_UP_THRESHOLD
+        assert families._RHS_STOPS[families._neck_lanes] == ode.BLOW_UP_THRESHOLD
+        assert families._RHS_STOPS[families._rotational_lanes] == math.inf
+        assert families._RHS_STOPS[families._helicoid_lanes] == math.inf
         [traj] = ode.solve_ivp(lambda t, y: y * y, ([0.0], [2.0]), [[1.0]]).trajectories
         assert traj.termination == "blow_up"
         assert abs(traj.y[-1, 0]) == pytest.approx(ode.BLOW_UP_THRESHOLD, rel=1e-6)
@@ -190,6 +194,21 @@ class TestRotational:
         # convexity of the profile near the axis: phi ~ r^2/(4 sqrt(lam))
         r0 = prof.t[0]
         assert prof.data["phi"][0] == pytest.approx(0.25 * r0 * r0, rel=1e-6)
+
+    def test_gaussian_curvature_has_no_cancellation(self):
+        # against det A over det g = 1 + lam (alpha^2 + beta^2), both in exact
+        # rationals from the float entries that the kernel works from; det g
+        # recomputed from the rounded entries of g was off by 1.2e-11 here
+        lam = 9.0
+        d = solve_bowl(lam, 200.0).data
+        jet = radial_graph_jet(lam, d["r"], d["phi"], d["psi"])
+        (a11, a12), (_, a22) = graph_shape(lam, jet).A
+        worst = 0.0
+        for k, h11, h12, h22, a, b in zip(d["K_gauss"], a11, a12, a22, jet.alpha, jet.beta):
+            det_a = Fraction(h11) * Fraction(h22) - Fraction(h12) ** 2
+            ref = det_a / (1 + Fraction(lam) * (Fraction(a) ** 2 + Fraction(b) ** 2))
+            worst = max(worst, abs(float((Fraction(k) - ref) / ref)))
+        assert worst < 1e-14
 
     def test_bowl_validation(self):
         with pytest.raises(ValueError):
@@ -257,6 +276,13 @@ class TestCatenoid:
                 rtol=1e-13, atol=1e-15).trajectories
             ref = np.vstack([down(zs[zs < 0]), up(zs[zs >= 0])])
             assert np.max(np.abs(f(zs) - ref), axis=0) == pytest.approx([0.0, 0.0], abs=1e-10)
+
+    def test_thin_neck_builds(self):
+        # f'(1e-3) = 1.17 here: a first difference of f' once read 0 at the
+        # first grid point of the gluing offset, and the catenoid failed
+        prof = solve_catenoid(1.0, 1e-3)
+        assert prof.residual_sup <= 1e-7
+        assert 0 < prof.diagnostics["eps"] <= GLUING_EPS_CAP
 
     def test_gluing_offset(self):
         [[(f, _)]] = solve_jobs(necks_job([1.0], 1.0, 2.0 * GLUING_EPS_CAP))
@@ -347,7 +373,8 @@ class TestHelicoid:
                 solve_helicoid(HelicoidParams(lam, pitch))
 
     def test_rhs_tangent_is_unit(self):
-        d = helicoid_rhs(1.0, 1.0, (0.5, -0.3, 1.2))
+        d = families._helicoid_lanes(0.0, np.array([0.5, -0.3, 1.2]),
+                                     *families._helicoid_args(1.0, 1.0))
         assert math.hypot(d[0], d[1]) == pytest.approx(1.0, abs=1e-15)
 
     def test_curvature_at_tau_zero(self):
@@ -626,6 +653,7 @@ class TestLaneKernels:
 
     def test_helicoid(self):
         lam, (c, g1, g2, th) = self.lanes()
-        state = np.array([g1, g2, th])
-        self.same(families._helicoid_lanes(0.0, state, *families._helicoid_args(lam, c)),
-                  helicoid_rhs(lam, c, state))
+        ct, st, tau, nu = families._helicoid_frame(g1, g2, th)
+        self.same(families._helicoid_lanes(0.0, np.array([g1, g2, th]),
+                                           *families._helicoid_args(lam, c)),
+                  (ct, st, helicoid_curvature(lam, c, tau, nu)))

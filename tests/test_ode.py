@@ -112,6 +112,13 @@ class TestAccuracy:
             with pytest.raises(ValueError, match="outside the integrated range"):
                 traj(t)
 
+    def test_integrate_has_no_blow_up_stop(self):
+        # e^30 = 1.07e13 lies past BLOW_UP_THRESHOLD, where a call at the
+        # default stop ends (at t = 23.03)
+        traj = integrate(OdeProblem(lambda t, y: y, (1.0,), (0.0, 30.0)))
+        assert traj.termination == "span_end"
+        assert traj.y[-1][0] == pytest.approx(math.exp(30.0), rel=1e-9)
+
     def test_trajectory_without_dense_output(self):
         traj = Trajectory(np.array([0.0]), np.zeros((1, 1)), "span_end")
         with pytest.raises(ValueError):
@@ -127,9 +134,15 @@ class TestBlowUp:
 
         return OdeProblem(rhs, (0.0, 0.0), (0.0, sl.b_endpoint + 1.0)), sl
 
+    @staticmethod
+    def solve(prob):
+        """``prob`` as one lane of ``ode.solve_ivp``, at its default stop."""
+        return ode.solve_ivp(prob.rhs, ([prob.t_span[0]], [prob.t_span[1]]),
+                             [prob.y0]).trajectories[0]
+
     def test_blow_up_termination(self):
         prob, sl = self.grim_problem()
-        traj = integrate(prob)
+        traj = self.solve(prob)
         assert traj.termination == "blow_up"
         assert traj.t_end < sl.b_endpoint
 
@@ -145,7 +158,7 @@ class TestBlowUp:
         def rhs(y, state):
             return grim_reaper_rhs(lam, c, y, state[0], state[1])
 
-        traj = integrate(OdeProblem(rhs, (0.0, 0.0), (0.0, t1)))
+        traj = self.solve(OdeProblem(rhs, (0.0, 0.0), (0.0, t1)))
         assert traj.termination == "blow_up"
         steps = np.diff(traj.t) if forward else -np.diff(traj.t)
         assert np.all(steps > 0)

@@ -30,8 +30,10 @@ FAMILIES = [
     ["grim", "--c", "2", "--lambda", "4"],
     ["bowl"],
     ["bowl", "--lambda", "9"],
+    ["bowl", "--span", "1e6"],
     ["catenoid"],
     ["catenoid", "--f0", "2", "--lambda", "0.5"],
+    ["catenoid", "--span", "1e6"],
     ["helicoid"],
     ["helicoid", "--pitch", "-1"],
     ["helicoid", "--pitch", "2", "--lambda", "4", "--r0", "0"],
