@@ -175,22 +175,28 @@ def grim_endpoint_fit(lam: float, c: float, profile: ProfileCurve) -> dict:
     Near the right endpoint b the profile satisfies
     gamma(y) ~ -(1 + lam*(c + b)^2)/sqrt(lam) * log(b - y); the left endpoint
     is analogous.  The fit is a least-squares slope of gamma against the log
-    of the distance to the profile's refined pole (``a_numeric`` or
-    ``b_numeric``, from ``families.grim_pole``) at 200 points from 1e-6 to
-    1e-5 before the blow-up stop.
+    of the distance to the profile's end (``a_numeric`` or ``b_numeric``)
+    at 200 points of the half's tail, whose variable is gamma: the points lie
+    about 1e-6 to 1e-5 before the end, placed by interpolating the log
+    distance between the tail's samples, and their y is read from its dense
+    output.
     """
     if profile.family != "grim":
         raise ValueError("endpoint fit applies to grim reaper profiles")
     diag = profile.diagnostics
-    if diag["termination"] != ("blow_up", "blow_up"):
+    if diag["termination"] != ("blow_up",) * 4:
         raise ValueError("profile must terminate by blow-up at both ends")
     s = math.sqrt(lam)
     out = {}
-    for side, traj, sign in (("b", profile.trajectories[1], 1.0),
-                             ("a", profile.trajectories[0], -1.0)):
+    for side, tail, sign in (("b", profile.trajectories[3], 1.0),
+                             ("a", profile.trajectories[2], -1.0)):
         endpoint = diag[f"{side}_numeric"]
-        ys = traj.t_end - sign * np.geomspace(1e-6, 1e-5, 200)
-        slope, _ = np.polyfit(np.log(sign * (endpoint - ys)), traj(ys)[:, 0], 1)
+        dist = sign * (endpoint - tail.y[:, 0])
+        before = dist > 0
+        gammas = np.interp(-np.log(np.geomspace(1e-5, 1e-6, 200)),
+                           -np.log(dist[before]), tail.t[before])
+        ys = tail(gammas)[:, 0]
+        slope, _ = np.polyfit(np.log(sign * (endpoint - ys)), gammas, 1)
         out[side] = EndpointFit(-float(slope), (1.0 + lam * (c + endpoint) ** 2) / s)
     return out
 

@@ -27,10 +27,10 @@ Each solver of a list of curves is written as a job (``*_job``): a
 generator that yields the ``Lanes`` it needs integrated and builds its
 profiles from the trajectories it is sent back.  ``solve_jobs`` runs any
 number of jobs with one ``ode.solve_ivp`` call per right-hand side, so a
-verify run integrates all its grim reapers, necks, helicoids and
-rotational arms in four calls.  A single profile of a family comes from
-``solve_grim_reaper``, ``solve_bowl``, ``solve_catenoid`` or
-``solve_helicoid``.
+verify run integrates all its grim reapers (chart 1, then their tails),
+grim windows, necks, helicoids and rotational arms in six calls.  A single
+profile of a family comes from ``solve_grim_reaper``, ``solve_bowl``,
+``solve_catenoid`` or ``solve_helicoid``.
 """
 
 from __future__ import annotations
@@ -130,12 +130,17 @@ def slab(lam: float, c: float) -> SlabData:
     return SlabData(a, b, width)
 
 
-# |gamma'| at which a grim reaper half stops: its end is read from the pole
-# that ``grim_pole`` fits before the stop, so the lane need not run on to
-# ode.BLOW_UP_THRESHOLD and spend its step attempts on the last decades of
-# the blow-up.  gamma keeps the stop at ode.BLOW_UP_THRESHOLD:
-# at a steep slope c it grows past 1e7 long before gamma' nears its pole
-# (at lam = 4 from c ~ 100), and past 1e10 only from c ~ 1e3
+# Each grim reaper half runs in two charts.  Chart 1 follows (gamma, gamma')
+# in y until |gamma'| reaches GRIM_HANDOVER (or |gamma| ode.BLOW_UP_THRESHOLD).
+# From its last step end before that stop, chart 2 follows
+# (y, sigma = ln|1/gamma'|) in gamma, which is smooth through the pole: there
+# 1/gamma' -> 0 and sigma falls linearly in gamma.  The tail stops where
+# |sigma| reaches ln GRIM_TAIL_SLOPE, or at gamma = ode.BLOW_UP_THRESHOLD.
+GRIM_HANDOVER = 10.0
+GRIM_TAIL_SLOPE = 1e16
+_GRIM_HEAD_STOP = (ode.BLOW_UP_THRESHOLD, GRIM_HANDOVER)
+_GRIM_TAIL_STOP = (math.inf, math.log(GRIM_TAIL_SLOPE))
+# the stop of the large-lambda windows, which end at their span ends first
 GRIM_BLOW_UP = 1e7
 _GRIM_STOP = (ode.BLOW_UP_THRESHOLD, GRIM_BLOW_UP)
 
@@ -159,18 +164,37 @@ def _grim_lanes(y, state, lam, c, s, inv_s):
     return gamma_p, inv_s + (s * gamma_p + la) * gamma_p / (1.0 + la * a)
 
 
-def grim_reaper_closed_form(lam: float, c: float, y):
-    """Closed-form gamma'(y), defined on the open slab only; y may be an
-    array of samples."""
-    sl = slab(lam, c)
-    ys = np.asarray(y)
-    outside = ~((sl.a_endpoint < ys) & (ys < sl.b_endpoint))
-    if np.any(outside):
-        raise ValueError(f"y={ys[outside][0]} outside the open slab "
-                         f"({sl.a_endpoint}, {sl.b_endpoint})")
-    s = math.sqrt(lam)
+def _grim_head_lanes(y, state, lam, c, s, inv_s):
+    """``_grim_lanes`` in chart 1 of a grim reaper half, which has a stop of
+    its own."""
+    return _grim_lanes(y, state, lam, c, s, inv_s)
+
+
+def _grim_tail_lanes(gamma, state, lam, c, s, inv_s, sign):
+    """Chart 2 of a grim reaper half: d(y, sigma)/dgamma = (w, -q), where
+    w = 1/gamma' = sign e^sigma, a = y + c and q = gamma'' w^2
+    = w^2/sqrt(lam) + (sqrt(lam) + lam a w)/(1 + lam a^2)."""
+    y, sigma = state
+    w = sign * np.exp(sigma)
     a = y + c
-    theta = (np.arcsinh(s * a) - math.asinh(s * c)) / s
+    return w, -(w * w * inv_s + (s + lam * a * w) / (1.0 + lam * a * a))
+
+
+def grim_reaper_closed_form(lam, c, y):
+    """Closed-form gamma'(y), defined on the open slab only; lam, c and y may
+    be arrays of samples, which broadcast."""
+    lams, cs = np.broadcast_arrays(lam, c)
+    ends = np.reshape([(sl.a_endpoint, sl.b_endpoint) for sl in map(slab, lams.flat, cs.flat)],
+                      lams.shape + (2,))
+    ys, a_end, b_end = np.broadcast_arrays(y, ends[..., 0], ends[..., 1])
+    outside = ~((a_end < ys) & (ys < b_end))
+    if np.any(outside):
+        i = np.argmax(outside)
+        raise ValueError(f"y={ys.flat[i]} outside the open slab "
+                         f"({a_end.flat[i]}, {b_end.flat[i]})")
+    s = np.sqrt(lam)
+    a = y + c
+    theta = (np.arcsinh(s * a) - np.arcsinh(s * c)) / s
     return np.sqrt(a * a + 1.0 / lam) * np.tan(theta)
 
 
@@ -189,7 +213,7 @@ def solve_grim_reaper(params: GrimReaperParams,
                       rtol: float = ode.DEFAULT_RTOL,
                       atol: float = ode.DEFAULT_ATOL,
                       derived: bool = True) -> ProfileCurve:
-    """Integrate the generating curve in both directions until blow-up.
+    """Integrate the generating curve in both directions into its poles.
 
     With ``derived=False`` only gamma and gamma' are tabulated (no per-sample
     shape data), which keeps tight-tolerance runs fast.
@@ -200,64 +224,81 @@ def solve_grim_reaper(params: GrimReaperParams,
 def grim_reapers_job(params, rtol: float = ode.DEFAULT_RTOL,
                      atol: float = ode.DEFAULT_ATOL, derived: bool = True):
     """The grim reaper of each of ``params``, as ``solve_grim_reaper`` builds
-    it; both directions of all curves are asked for as one ``Lanes``."""
+    it: chart 1 of both halves of all curves is asked for as one ``Lanes``,
+    then chart 2 of every half that hands over, as a second one.
+
+    A half hands over at the step end before its chart-1 stop, an accepted
+    step end: the stop itself lies on the step interpolant, and a tail
+    started there would be less accurate.  A half whose first step already
+    stops has only the seed (gamma' = 0) before it, and keeps chart 1 alone.
+    """
     params = list(params)
     slabs = [slab(p.lam, p.c) for p in params]
+    args = _grim_args(np.array([p.lam for p in params]), np.array([p.c for p in params]))
     pairs = yield from _both_ways(
-        _grim_lanes,
+        _grim_head_lanes,
         [(0.0, sl.a_endpoint - 0.2 * sl.width, (0.0, 0.0)) for sl in slabs],
         [(0.0, sl.b_endpoint + 0.2 * sl.width, (0.0, 0.0)) for sl in slabs],
-        _grim_args(np.array([p.lam for p in params]), np.array([p.c for p in params])),
-        rtol, atol)
-    return [_grim_profile(p, sl, down, up, derived)
-            for p, sl, (down, up) in zip(params, slabs, pairs)]
+        args, rtol, atol)
+    heads = [half for pair in pairs for half in pair]
+    # per half: the constants and the sign of gamma', < 0 on the lower half
+    # and > 0 on the upper one; gamma grows from 0 along both
+    half_args = tuple(np.repeat(a, 2) for a in args) + (np.tile([-1.0, 1.0], len(params)),)
+    tailed = [i for i, head in enumerate(heads)
+              if head.termination == "blow_up" and len(head.t) > 2]
+    tails = {}
+    if tailed:
+        trajs = yield Lanes(
+            _grim_tail_lanes,
+            [(head.y[-2, 0], ode.BLOW_UP_THRESHOLD, (head.t[-2], -math.log(abs(head.y[-2, 1]))))
+             for head in (heads[i] for i in tailed)],
+            tuple(a[tailed] for a in half_args), rtol, atol)
+        tails = dict(zip(tailed, trajs))
+    halves = [(head, tails.get(i), tuple(a[i] for a in half_args))
+              for i, head in enumerate(heads)]
+    return [_grim_profile(p, sl, halves[2 * k], halves[2 * k + 1], derived)
+            for k, (p, sl) in enumerate(zip(params, slabs))]
 
 
 def _grim_profile(params, sl, down, up, derived) -> ProfileCurve:
     lam, c = params.lam, params.c
-    ys = np.concatenate([down.t[:0:-1], up.t])
-    states = np.vstack([down.y[:0:-1], up.y])
-    cols = {"y": ys, "gamma": states[:, 0].copy(), "gamma_prime": states[:, 1].copy()}
+    (yd, gd, gpd), (yu, gu, gpu) = _grim_samples(*down), _grim_samples(*up)
+    ys = np.concatenate([yd[:0:-1], yu])
+    cols = {"y": ys, "gamma": np.concatenate([gd[:0:-1], gu]),
+            "gamma_prime": np.concatenate([gpd[:0:-1], gpu])}
     if derived:
         jet = grim_reaper_jet(lam, c, ys, cols["gamma"], cols["gamma_prime"])
         cols.update(_shape_columns(lam, graph_shape(lam, jet), jet))
+    trajs = [down[0], up[0]] + [tail for _, tail, _ in (down, up) if tail is not None]
     diag = {
         "slab": sl,
-        "a_numeric": grim_pole(lam, c, down, -1.0),
-        "b_numeric": grim_pole(lam, c, up, 1.0),
-        **_counters(down, up),
+        "a_numeric": _grim_end(*down),
+        "b_numeric": _grim_end(*up),
+        **_counters(*trajs),
     }
-    return ProfileCurve("grim", {"lam": lam, "c": c}, cols, [down, up], diag)
+    return ProfileCurve("grim", {"lam": lam, "c": c}, cols, trajs, diag)
 
 
-def grim_pole(lam, c, half, sign: float) -> float:
-    """The pole of gamma' past the blow-up stop of a grim reaper half (sign
-    1 up to b, -1 down to a).
+def _grim_samples(head, tail, args):
+    """The samples (y, gamma, gamma') of a grim reaper half from its seed on:
+    chart 1's up to the handover, then chart 2's."""
+    if tail is None:
+        return head.t, head.y[:, 0], head.y[:, 1]
+    sign = args[-1]
+    return (np.concatenate([head.t[:-1], tail.y[1:, 0]]),
+            np.concatenate([head.y[:-1, 0], tail.t[1:]]),
+            np.concatenate([head.y[:-1, 1], sign * np.exp(-tail.y[1:, 1])]))
 
-    Near the pole gamma' ~ A/(b - y), so d = |gamma'/gamma''| at the stop is
-    about the distance from the stop to the pole.  1/gamma' is fitted by a
-    quadratic in the offset from the stop, at 200 offsets from 0.1 d to d
-    before it, and the pole is the root of smaller magnitude.  At the stop
-    GRIM_BLOW_UP, a line through 1/gamma' on a window of fixed width, 1e-6
-    to 1e-5 before the stop, would miss the poles of verify's grim grid by
-    up to 6.4e-9.
 
-    A half that did not stop in the pole's regime ends at its last sample:
-    at its span end, where gamma reached its stop first, or with d over half
-    the length of the half (at the steepest slopes c).
-    """
-    y_stop = float(half.t_end)
-    gamma, gamma_p = half.y[-1]
-    if half.termination != "blow_up" or np.argmax(np.abs(half.y[-1]) / _GRIM_STOP) == 0:
-        return y_stop
-    d = abs(gamma_p / grim_reaper_rhs(lam, c, y_stop, gamma, gamma_p)[1])
-    if d > 0.5 * abs(y_stop - half.t[0]):
-        return y_stop
-    x = np.linspace(-1.0, -0.1, 200)
-    p2, p1, p0 = (float(p) for p in np.polyfit(x, sign / half(y_stop + sign * d * x)[:, 1], 2))
-    # the root of smaller magnitude, in the form free of cancellation
-    root = -2.0 * p0 / (p1 + math.copysign(math.sqrt(max(p1 * p1 - 4.0 * p2 * p0, 0.0)), p1))
-    return y_stop + sign * float(d) * root
+def _grim_end(head, tail, args) -> float:
+    """The end of a grim reaper half (a or b): the tail's last y plus the
+    remainder w/q of its pole, or chart 1's last sample for a half with no
+    tail.  Near the pole dy/dsigma = -w/q with w = sign e^sigma and q about
+    constant, so y moves on by w/q as sigma -> -inf."""
+    if tail is None:
+        return float(head.t_end)
+    dy, dsigma = _grim_tail_lanes(tail.t_end, tail.y[-1], *args)
+    return float(tail.y[-1, 0] - dy / dsigma)
 
 
 def _both_ways(rhs, down, up, args, rtol: float = ode.DEFAULT_RTOL,
@@ -316,12 +357,16 @@ def grim_windows_job(lams, c: float, y_max: float):
     """Dense gamma and gamma' on [-y_max, y_max] for each of ``lams``, as
     callables y -> (gamma, gamma'); used by the large-lambda limits.
 
-    The window must lie in every slab.  Both halves of every window are
-    asked for as one ``Lanes``.
+    The window must lie in every slab; a slab whose ends overflow (from
+    lambda ~ 2.9e5) is wider than any window.  Both halves of every window
+    are asked for as one ``Lanes``.
     """
     for lam in lams:
         params = GrimReaperParams(lam, c)
-        sl = slab(params.lam, params.c)
+        try:
+            sl = slab(params.lam, params.c)
+        except OverflowError:
+            continue
         if not (sl.a_endpoint < -y_max and y_max < sl.b_endpoint):
             raise ValueError("window exceeds the slab of definition")
     pairs = yield from _both_ways(_grim_lanes, [(0.0, -y_max, (0.0, 0.0))] * len(lams),
@@ -754,11 +799,13 @@ class Lanes(NamedTuple):
 
 
 # the right-hand sides in the order in which each pass of ``solve_jobs`` takes
-# them (the catenoid arms, rotational, start at the junctions of its neck),
-# with the blow-up stop of each.  Only the grim and neck ODEs have poles (the
-# slab ends, a neck that turns): the rotational graphs are entire, and on a
-# helicoid arm |gamma| <= r0 + s_span while theta moves O(1) a step
-_RHS_STOPS = {_grim_lanes: _GRIM_STOP, _neck_lanes: ode.BLOW_UP_THRESHOLD,
+# them (the grim tails start where chart 1 of their halves stops, and the
+# catenoid arms, rotational, at the junctions of its neck), with the blow-up
+# stop of each.  Only the grim and neck ODEs have poles (the slab ends, a
+# neck that turns): the rotational graphs are entire, and on a helicoid arm
+# |gamma| <= r0 + s_span while theta moves O(1) a step
+_RHS_STOPS = {_grim_head_lanes: _GRIM_HEAD_STOP, _grim_tail_lanes: _GRIM_TAIL_STOP,
+              _grim_lanes: _GRIM_STOP, _neck_lanes: ode.BLOW_UP_THRESHOLD,
               _helicoid_lanes: math.inf, _rotational_lanes: math.inf}
 
 

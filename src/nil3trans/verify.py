@@ -223,21 +223,18 @@ def _curvature_checks(grim10):
                          "gaussian at y=0: -lam(1-lam c^2)^2/(4(1+lam c^2)^2)",
                          0.0, sup0, 1e-9))
 
-    rng = np.random.default_rng(7)
-    sup_int = 0.0
-    for _ in range(100):
-        lam = float(rng.uniform(0.5, 4.0))
-        c = float(rng.uniform(0.0, 2.0))
-        sl = fam.slab(lam, c)
-        y = float(rng.uniform(sl.a_endpoint + 0.1 * sl.width,
-                              sl.b_endpoint - 0.1 * sl.width))
-        gp = fam.grim_reaper_closed_form(lam, c, y)
-        jet = fam.grim_reaper_jet(lam, c, y, 0.0, gp)
-        a, b = jet.alpha, jet.beta
-        closed = lam * (math.sqrt(lam) * a * b - 1.0) / (
-            (1 + lam * a * a) * (1 + lam * a * a + lam * b * b))
-        shape = graph_shape(lam, jet)
-        sup_int = max(sup_int, abs(intrinsic_curvature(lam, jet, shape) - closed))
+    # 100 draws of (lam, c, y), y inside the slab of its draw's lam and c:
+    # rng.random scaled as Generator.uniform scales it, in the same order
+    u = np.random.default_rng(7).random((100, 3))
+    lam, c = 0.5 + 3.5 * u[:, 0], 2.0 * u[:, 1]
+    lo, hi = np.array([(sl.a_endpoint + 0.1 * sl.width, sl.b_endpoint - 0.1 * sl.width)
+                       for sl in map(fam.slab, lam, c)]).T
+    y = lo + (hi - lo) * u[:, 2]
+    jet = fam.grim_reaper_jet(lam, c, y, 0.0, fam.grim_reaper_closed_form(lam, c, y))
+    a, b = jet.alpha, jet.beta
+    closed = lam * (np.sqrt(lam) * a * b - 1.0) / (
+        (1 + lam * a * a) * (1 + lam * a * a + lam * b * b))
+    sup_int = np.max(np.abs(intrinsic_curvature(lam, jet, graph_shape(lam, jet)) - closed))
     checks.append(_check("grim-intrinsic-closed-form",
                          "intrinsic sec: lam(sqrt(lam) a b - 1)/((1+lam a^2)(1+lam a^2+lam b^2))",
                          0.0, sup_int, 1e-9))

@@ -183,9 +183,9 @@ def test_criterion_10_determinism_and_runtime(suite):
 
 
 def test_endpoint_and_axis_records_measure_the_limits(suite):
-    """grim-blow-up-endpoints compares the slab endpoints with the poles
-    refined from 1/gamma' (``families.grim_pole``), not with the stops at
-    the blow-up threshold (4.4e-7), and bowl-axis-regularity takes one
+    """grim-blow-up-endpoints compares the slab endpoints with the ends read
+    from the grim tails (their last y plus the w/q remainder), not with the
+    stops at the blow-up threshold (4.4e-7), and bowl-axis-regularity takes one
     Richardson step in r (7.8e-8 for psi/r at r = 1e-3 alone): both read
     at most 1e-9."""
     _, records, _ = suite

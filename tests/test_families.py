@@ -103,7 +103,7 @@ class TestGrimReaper:
     def test_solver_matches_closed_form(self):
         prof = solve_grim_reaper(GrimReaperParams(1.0, 1.0))
         sl = prof.diagnostics["slab"]
-        assert prof.diagnostics["termination"] == ("blow_up", "blow_up")
+        assert prof.diagnostics["termination"] == ("blow_up",) * 4
         mask = (prof.t > sl.a_endpoint + 0.1 * sl.width) & \
                (prof.t < sl.b_endpoint - 0.1 * sl.width)
         errs = [abs(gp - grim_reaper_closed_form(1.0, 1.0, y))
@@ -112,45 +112,102 @@ class TestGrimReaper:
         assert prof.residual_sup < 1e-7
 
     def test_ends_are_the_refined_poles(self):
-        # the halves stop at |gamma'| = GRIM_BLOW_UP, up to 4.4e-4 short of
-        # the slab endpoints here; the ends read from the fitted poles lie
-        # within 1e-9 of them (the stops at 1e10 read 4.4e-7)
+        # chart 1 stops at |gamma'| = GRIM_HANDOVER, far inside the slab, and
+        # each tail at |gamma'| = GRIM_TAIL_SLOPE; the ends read from the tails
+        # lie within 1e-9 of the slab endpoints (the stops at 1e10 read 4.4e-7)
         prof = solve_grim_reaper(GrimReaperParams(4.0, 2.0), rtol=1e-13, atol=1e-15,
                                  derived=False)
         diag = prof.diagnostics
         sl = diag["slab"]
         assert abs(diag["a_numeric"] - sl.a_endpoint) <= 1e-9
         assert abs(diag["b_numeric"] - sl.b_endpoint) <= 1e-9
-        for half in prof.trajectories:
-            assert half.termination == "blow_up"
-            assert np.max(np.abs(half.y[-1])) == pytest.approx(families.GRIM_BLOW_UP, rel=1e-6)
+        assert diag["termination"] == ("blow_up",) * 4
+        heads, tails = prof.trajectories[:2], prof.trajectories[2:]
+        for head in heads:
+            assert abs(head.y[-1, 1]) == pytest.approx(families.GRIM_HANDOVER, rel=1e-6)
+        for tail in tails:
+            assert abs(tail.y[-1, 1]) == pytest.approx(math.log(families.GRIM_TAIL_SLOPE), rel=1e-9)
+
+    def test_window_past_the_slab_overflow(self):
+        # math.sinh in the slab overflows from lam ~ 2.9e5: such a slab is
+        # wider than any window, and the window lanes end at their span ends
+        with pytest.raises(OverflowError):
+            slab(1e6, 0.0)
+        [[gamma]] = solve_jobs(families.grim_windows_job([1e6], 0.0, 1.0))
+        assert np.all(np.isfinite(gamma(np.linspace(-1.0, 1.0, 21))))
+
+    def test_ends_are_read_within_a_step_bound(self):
+        # over both charts the halves of (4, 2) take 131 and 156 steps (394
+        # and 294 to a stop at |gamma'| = 1e7 in y alone), and its ends lie
+        # within 1e-11 of the slab (7.2e-13 here; 2.5e-12 from poles fitted
+        # to 1/gamma' before that stop)
+        prof = solve_grim_reaper(GrimReaperParams(4.0, 2.0), rtol=1e-13, atol=1e-15,
+                                 derived=False)
+        diag = prof.diagnostics
+        n = diag["n_steps"]
+        assert max(n[0] + n[2], n[1] + n[3]) <= 160
+        sl = diag["slab"]
+        assert abs(diag["a_numeric"] - sl.a_endpoint) <= 1e-11
+        assert abs(diag["b_numeric"] - sl.b_endpoint) <= 1e-11
+
+    def test_closed_form_sup_error_on_random_reapers(self):
+        # 20 seeded (lam, c) in [0.5, 4] x [0, 2] at the tolerances of
+        # verify's grid, over the central 90% of each slab: 3.3e-10 here,
+        # 3.2e-9 with the pole followed in y
+        rng = np.random.default_rng(29)
+        params = [GrimReaperParams(float(lam), float(c))
+                  for lam, c in rng.uniform([0.5, 0.0], [4.0, 2.0], (20, 2))]
+        [profiles] = solve_jobs(families.grim_reapers_job(params, rtol=1e-13, atol=1e-15,
+                                                           derived=False))
+        sup = 0.0
+        for p, prof in zip(params, profiles):
+            sl = prof.diagnostics["slab"]
+            mask = (prof.t >= sl.a_endpoint + 0.05 * sl.width) & \
+                   (prof.t <= sl.b_endpoint - 0.05 * sl.width)
+            closed = grim_reaper_closed_form(p.lam, p.c, prof.t[mask])
+            sup = max(sup, np.max(np.abs(prof.data["gamma_prime"][mask] - closed)))
+        assert sup <= 2e-9
 
     def test_steep_slope_reaches_the_pole(self):
-        # gamma passes 1e7 long before gamma' nears its pole at b, so a
-        # sup-norm stop at 1e7 would end the upper half far inside the slab;
-        # gamma' alone stops at GRIM_BLOW_UP (the stops at 1e10 read 1.1e-3)
+        # gamma passes 1e7 long before gamma' nears its pole at b (at lam = 4
+        # from c ~ 100), so the tail, whose variable is gamma, runs past it to
+        # its stop on sigma, and the end lies within 1e-5 of b (1.4e-8)
         prof = solve_grim_reaper(GrimReaperParams(4.0, 100.0), derived=False)
-        up = prof.trajectories[1]
-        assert abs(up.y[-1, 0]) > 1e7
-        assert abs(up.y[-1, 1]) == pytest.approx(families.GRIM_BLOW_UP, rel=1e-6)
+        up_tail = prof.trajectories[3]
+        assert up_tail.termination == "blow_up" and up_tail.t_end > 1e7
+        assert abs(up_tail.y[-1, 1]) == pytest.approx(math.log(families.GRIM_TAIL_SLOPE),
+                                                      rel=1e-9)
         assert abs(prof.diagnostics["b_numeric"] - prof.diagnostics["slab"].b_endpoint) <= 1e-5
 
-    @pytest.mark.parametrize("lam, c, halves", [
-        (4.0, 1e4, (1,)),  # the upper half stops where gamma reaches 1e10
-        (1e-12, 1e12, (0, 1)),  # gamma' ~ 1e12 * theta passes 1e7 near the seed
-    ])
-    def test_half_stopped_off_the_pole_ends_at_its_last_sample(self, lam, c, halves):
-        prof = solve_grim_reaper(GrimReaperParams(lam, c), derived=False)
-        for i in halves:
-            half = prof.trajectories[i]
+    def test_half_stopped_off_the_pole_ends_at_its_last_sample(self):
+        # gamma' ~ 1e12 * theta passes GRIM_HANDOVER in the first step, so
+        # each half has only the seed (gamma' = 0) to hand over from, and
+        # keeps chart 1 alone
+        prof = solve_grim_reaper(GrimReaperParams(1e-12, 1e12), derived=False)
+        assert len(prof.trajectories) == 2
+        for i, half in enumerate(prof.trajectories):
             assert half.termination == "blow_up"
             assert prof.diagnostics[("a_numeric", "b_numeric")[i]] == half.t_end
+
+    def test_tail_at_its_span_end_ends_short_of_the_pole(self):
+        # at (4, 1e4) the upper tail reaches gamma = 1e10 (its span end)
+        # 7.55e4 short of b; its end is still its last y plus the w/q
+        # remainder, which lies between the last sample and b
+        prof = solve_grim_reaper(GrimReaperParams(4.0, 1e4), derived=False)
+        up_tail = prof.trajectories[3]
+        assert up_tail.termination == "span_end" and up_tail.t_end == ode.BLOW_UP_THRESHOLD
+        b = prof.diagnostics["slab"].b_endpoint
+        assert up_tail.y[-1, 0] < prof.diagnostics["b_numeric"] < b - 1e4
 
     def test_blow_up_stop_belongs_to_the_right_hand_side(self):
         # the grim lanes stop at GRIM_BLOW_UP, the neck lanes and a call with
         # no stop of its own at ode.BLOW_UP_THRESHOLD, the rotational and
         # helicoid lanes nowhere: y' = y^2, y(0) = 1 has its pole at t = 1
         assert families.GRIM_BLOW_UP < ode.BLOW_UP_THRESHOLD
+        assert families._RHS_STOPS[families._grim_head_lanes] == (
+            ode.BLOW_UP_THRESHOLD, families.GRIM_HANDOVER)
+        assert families._RHS_STOPS[families._grim_tail_lanes] == (
+            math.inf, math.log(families.GRIM_TAIL_SLOPE))
         assert families._RHS_STOPS[families._neck_lanes] == ode.BLOW_UP_THRESHOLD
         assert families._RHS_STOPS[families._rotational_lanes] == math.inf
         assert families._RHS_STOPS[families._helicoid_lanes] == math.inf
@@ -609,7 +666,7 @@ class TestSolverCounters:
         # grim y and helicoid s run from the seed at 0 to either end
         for prof in (solve_grim_reaper(GrimReaperParams(1.0, 0.5)),
                      solve_helicoid(HelicoidParams(1.0, 1.0, 1.0), s_span=10.0)):
-            down, up = prof.trajectories
+            down, up = prof.trajectories[:2]
             assert down.t[0] == up.t[0] == 0.0, prof.family
             assert down.t_end < 0.0 < up.t_end, prof.family
         # the catenoid arms both run out in r, from junctions below and above
@@ -637,6 +694,19 @@ class TestLaneKernels:
         c = np.abs(c)
         self.same(families._grim_lanes(y, np.array([g, gp]), *families._grim_args(lam, c)),
                   grim_reaper_rhs(lam, c, y, g, gp))
+
+    def test_grim_tail(self):
+        # chart 2 is chart 1 with gamma as the variable: dy/dgamma = 1/gamma'
+        # and dsigma/dgamma = -gamma''/gamma'^2, to rounding of the terms
+        lam, (c, y, _, gp) = self.lanes()
+        c = np.abs(c)
+        w, dsigma = families._grim_tail_lanes(0.0, np.array([y, -np.log(np.abs(gp))]),
+                                              *families._grim_args(lam, c), np.sign(gp))
+        _, gpp = grim_reaper_rhs(lam, c, y, 0.0, gp)
+        la = lam * (y + c)
+        terms = 1.0 / np.sqrt(lam) + (np.sqrt(lam) * gp * gp + np.abs(la * gp)) / (1.0 + la * (y + c))
+        assert np.all(np.abs(w * gp - 1.0) <= 1e-15)
+        assert np.all(np.abs(dsigma * gp * gp + gpp) <= 1e-14 * terms)
 
     def test_rotational(self):
         lam, (r, phi, psi, _) = self.lanes()

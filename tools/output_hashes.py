@@ -28,6 +28,8 @@ FAMILIES = [
     ["grim", "--c", "1"],
     ["grim", "--c", "0"],
     ["grim", "--c", "2", "--lambda", "4"],
+    ["grim", "--c", "800"],
+    ["grim", "--lambda", "16", "--c", "10"],
     ["bowl"],
     ["bowl", "--lambda", "9"],
     ["bowl", "--span", "1e6"],
