@@ -27,8 +27,8 @@ Each solver of a list of curves is written as a job (``*_job``): a
 generator that yields the ``Lanes`` it needs integrated and builds its
 profiles from the trajectories it is sent back.  ``solve_jobs`` runs any
 number of jobs with one ``ode.solve_ivp`` call per right-hand side, so a
-verify run integrates all its grim reapers (chart 1, then their tails),
-grim windows, necks, helicoids and rotational arms in six calls.  A single
+verify run integrates all its grim reapers (chart 1 with the grim windows,
+then the tails), necks, helicoids and rotational arms in five calls.  A single
 profile of a family comes from ``solve_grim_reaper``, ``solve_bowl``,
 ``solve_catenoid`` or ``solve_helicoid``.
 """
@@ -118,11 +118,16 @@ class SlabData:
 
 
 def slab(lam: float, c: float) -> SlabData:
-    """Endpoints and width of the maximal slab of the tilted grim reaper."""
+    """Endpoints and width of the maximal slab of the tilted grim reaper;
+    ``OverflowError`` names lam and c where either overflows."""
     s = math.sqrt(lam)
     t = math.asinh(s * c)
-    a = math.sinh(t - 0.5 * math.pi * s) / s - c
-    b = math.sinh(t + 0.5 * math.pi * s) / s - c
+    try:
+        a = math.sinh(t - 0.5 * math.pi * s) / s - c
+        b = math.sinh(t + 0.5 * math.pi * s) / s - c
+    except OverflowError:
+        raise OverflowError(f"the slab endpoints overflow at lambda = {lam:g}, "
+                            f"c = {c:g}") from None
     width = 2.0 / s * math.sqrt(1.0 + lam * c * c) * math.sinh(0.5 * math.pi * s)
     # lam*c*c overflows to inf in Python floats, which do not raise
     if not math.isfinite(width):
@@ -132,7 +137,9 @@ def slab(lam: float, c: float) -> SlabData:
 
 # Each grim reaper half runs in two charts.  Chart 1 follows (gamma, gamma')
 # in y until |gamma'| reaches GRIM_HANDOVER (or |gamma| ode.BLOW_UP_THRESHOLD).
-# From its last step end before that stop, chart 2 follows
+# From its last step end before that stop (the stop lies on a step
+# interpolant, and a tail started there is less accurate), or from the stop
+# when only the seed gamma' = 0 lies before it, chart 2 follows
 # (y, sigma = ln|1/gamma'|) in gamma, which is smooth through the pole: there
 # 1/gamma' -> 0 and sigma falls linearly in gamma.  The tail stops where
 # |sigma| reaches ln GRIM_TAIL_SLOPE, or at gamma = ode.BLOW_UP_THRESHOLD.
@@ -140,9 +147,6 @@ GRIM_HANDOVER = 10.0
 GRIM_TAIL_SLOPE = 1e16
 _GRIM_HEAD_STOP = (ode.BLOW_UP_THRESHOLD, GRIM_HANDOVER)
 _GRIM_TAIL_STOP = (math.inf, math.log(GRIM_TAIL_SLOPE))
-# the stop of the large-lambda windows, which end at their span ends first
-GRIM_BLOW_UP = 1e7
-_GRIM_STOP = (ode.BLOW_UP_THRESHOLD, GRIM_BLOW_UP)
 
 
 def grim_reaper_rhs(lam, c, y, gamma, gamma_p):
@@ -162,12 +166,6 @@ def _grim_lanes(y, state, lam, c, s, inv_s):
     a = y + c
     la = lam * a
     return gamma_p, inv_s + (s * gamma_p + la) * gamma_p / (1.0 + la * a)
-
-
-def _grim_head_lanes(y, state, lam, c, s, inv_s):
-    """``_grim_lanes`` in chart 1 of a grim reaper half, which has a stop of
-    its own."""
-    return _grim_lanes(y, state, lam, c, s, inv_s)
 
 
 def _grim_tail_lanes(gamma, state, lam, c, s, inv_s, sign):
@@ -225,18 +223,13 @@ def grim_reapers_job(params, rtol: float = ode.DEFAULT_RTOL,
                      atol: float = ode.DEFAULT_ATOL, derived: bool = True):
     """The grim reaper of each of ``params``, as ``solve_grim_reaper`` builds
     it: chart 1 of both halves of all curves is asked for as one ``Lanes``,
-    then chart 2 of every half that hands over, as a second one.
-
-    A half hands over at the step end before its chart-1 stop, an accepted
-    step end: the stop itself lies on the step interpolant, and a tail
-    started there would be less accurate.  A half whose first step already
-    stops has only the seed (gamma' = 0) before it, and keeps chart 1 alone.
+    then chart 2 of every half, from its handover sample, as a second one.
     """
     params = list(params)
     slabs = [slab(p.lam, p.c) for p in params]
     args = _grim_args(np.array([p.lam for p in params]), np.array([p.c for p in params]))
     pairs = yield from _both_ways(
-        _grim_head_lanes,
+        _grim_lanes,
         [(0.0, sl.a_endpoint - 0.2 * sl.width, (0.0, 0.0)) for sl in slabs],
         [(0.0, sl.b_endpoint + 0.2 * sl.width, (0.0, 0.0)) for sl in slabs],
         args, rtol, atol)
@@ -244,18 +237,13 @@ def grim_reapers_job(params, rtol: float = ode.DEFAULT_RTOL,
     # per half: the constants and the sign of gamma', < 0 on the lower half
     # and > 0 on the upper one; gamma grows from 0 along both
     half_args = tuple(np.repeat(a, 2) for a in args) + (np.tile([-1.0, 1.0], len(params)),)
-    tailed = [i for i, head in enumerate(heads)
-              if head.termination == "blow_up" and len(head.t) > 2]
-    tails = {}
-    if tailed:
-        trajs = yield Lanes(
-            _grim_tail_lanes,
-            [(head.y[-2, 0], ode.BLOW_UP_THRESHOLD, (head.t[-2], -math.log(abs(head.y[-2, 1]))))
-             for head in (heads[i] for i in tailed)],
-            tuple(a[tailed] for a in half_args), rtol, atol)
-        tails = dict(zip(tailed, trajs))
-    halves = [(head, tails.get(i), tuple(a[i] for a in half_args))
-              for i, head in enumerate(heads)]
+    tails = yield Lanes(
+        _grim_tail_lanes,
+        [(head.y[k, 0], ode.BLOW_UP_THRESHOLD, (head.t[k], -math.log(abs(head.y[k, 1]))))
+         for head, k in zip(heads, map(_handover, heads))],
+        half_args, rtol, atol)
+    halves = [(head, tail, tuple(a[i] for a in half_args))
+              for i, (head, tail) in enumerate(zip(heads, tails))]
     return [_grim_profile(p, sl, halves[2 * k], halves[2 * k + 1], derived)
             for k, (p, sl) in enumerate(zip(params, slabs))]
 
@@ -269,7 +257,7 @@ def _grim_profile(params, sl, down, up, derived) -> ProfileCurve:
     if derived:
         jet = grim_reaper_jet(lam, c, ys, cols["gamma"], cols["gamma_prime"])
         cols.update(_shape_columns(lam, graph_shape(lam, jet), jet))
-    trajs = [down[0], up[0]] + [tail for _, tail, _ in (down, up) if tail is not None]
+    trajs = [down[0], up[0], down[1], up[1]]
     diag = {
         "slab": sl,
         "a_numeric": _grim_end(*down),
@@ -279,24 +267,29 @@ def _grim_profile(params, sl, down, up, derived) -> ProfileCurve:
     return ProfileCurve("grim", {"lam": lam, "c": c}, cols, trajs, diag)
 
 
+def _handover(head) -> int:
+    """The index of the chart-1 sample a grim reaper half hands over from."""
+    if head.termination != "blow_up":
+        raise RuntimeError(f"grim reaper half ended at y = {head.t_end:.6g} before "
+                           f"its handover ({head.termination})")
+    return max(len(head.t) - 2, 1)
+
+
 def _grim_samples(head, tail, args):
     """The samples (y, gamma, gamma') of a grim reaper half from its seed on:
-    chart 1's up to the handover, then chart 2's."""
-    if tail is None:
-        return head.t, head.y[:, 0], head.y[:, 1]
+    chart 1's up to the handover, then chart 2's after it."""
+    k = _handover(head) + 1
     sign = args[-1]
-    return (np.concatenate([head.t[:-1], tail.y[1:, 0]]),
-            np.concatenate([head.y[:-1, 0], tail.t[1:]]),
-            np.concatenate([head.y[:-1, 1], sign * np.exp(-tail.y[1:, 1])]))
+    return (np.concatenate([head.t[:k], tail.y[1:, 0]]),
+            np.concatenate([head.y[:k, 0], tail.t[1:]]),
+            np.concatenate([head.y[:k, 1], sign * np.exp(-tail.y[1:, 1])]))
 
 
 def _grim_end(head, tail, args) -> float:
     """The end of a grim reaper half (a or b): the tail's last y plus the
-    remainder w/q of its pole, or chart 1's last sample for a half with no
-    tail.  Near the pole dy/dsigma = -w/q with w = sign e^sigma and q about
-    constant, so y moves on by w/q as sigma -> -inf."""
-    if tail is None:
-        return float(head.t_end)
+    remainder w/q of its pole.  Near the pole dy/dsigma = -w/q with
+    w = sign e^sigma and q about constant, so y moves on by w/q as
+    sigma -> -inf."""
     dy, dsigma = _grim_tail_lanes(tail.t_end, tail.y[-1], *args)
     return float(tail.y[-1, 0] - dy / dsigma)
 
@@ -357,9 +350,11 @@ def grim_windows_job(lams, c: float, y_max: float):
     """Dense gamma and gamma' on [-y_max, y_max] for each of ``lams``, as
     callables y -> (gamma, gamma'); used by the large-lambda limits.
 
-    The window must lie in every slab; a slab whose ends overflow (from
-    lambda ~ 2.9e5) is wider than any window.  Both halves of every window
-    are asked for as one ``Lanes``.
+    The window must lie in every slab; a slab whose ends overflow (at c = 0
+    from lambda = 2.0458e5) is wider than any window.  All halves are asked
+    for as one ``Lanes`` of chart 1, at its stop: |gamma'| must stay below
+    GRIM_HANDOVER on every window (it is at most 0.74 for y_max = 1, lambda
+    in GRIM_LIMIT_LAMS and {1e5, 1e6}, and c in {0} and [1e-3, 1e150]).
     """
     for lam in lams:
         params = GrimReaperParams(lam, c)
@@ -804,9 +799,9 @@ class Lanes(NamedTuple):
 # stop of each.  Only the grim and neck ODEs have poles (the slab ends, a
 # neck that turns): the rotational graphs are entire, and on a helicoid arm
 # |gamma| <= r0 + s_span while theta moves O(1) a step
-_RHS_STOPS = {_grim_head_lanes: _GRIM_HEAD_STOP, _grim_tail_lanes: _GRIM_TAIL_STOP,
-              _grim_lanes: _GRIM_STOP, _neck_lanes: ode.BLOW_UP_THRESHOLD,
-              _helicoid_lanes: math.inf, _rotational_lanes: math.inf}
+_RHS_STOPS = {_grim_lanes: _GRIM_HEAD_STOP, _grim_tail_lanes: _GRIM_TAIL_STOP,
+              _neck_lanes: ode.BLOW_UP_THRESHOLD, _helicoid_lanes: math.inf,
+              _rotational_lanes: math.inf}
 
 
 def solve_jobs(*jobs) -> list:

@@ -34,8 +34,8 @@ DEFAULT_ATOL = 1e-12
 # stop of its own
 BLOW_UP_THRESHOLD = 1e10
 # the most step attempts of one call, counted on its slowest lane: a verify
-# run's six calls make at most 129 (the grim tails; then 114 helicoid, 97
-# rotational, 83 grim chart 1, 25 grim windows and 22 neck), and 5000
+# run's five calls make at most 129 (the grim tails; then 114 helicoid, 97
+# rotational, 83 grim chart 1 with the grim windows, and 22 neck), and 5000
 # attempts are a few seconds of work, so a run that would take minutes (a
 # small-lambda rotational arm out to a large radius) fails instead
 MAX_ATTEMPTS = 5000

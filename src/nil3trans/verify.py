@@ -9,7 +9,7 @@ dicts, deterministic for fixed inputs, and serializable by
 
 A run first solves every profile its suites read, each once, in one
 ``families.solve_jobs`` call (one ``ode.solve_ivp`` call per right-hand
-side), and then runs the checks on them.  The two largest grids, the grim
+side, five for ``all``), and then runs the checks on them.  The two largest grids, the grim
 reapers at tight tolerances and the helicoids, are checked inside the joint
 solve, as soon as their call returns, so that their profiles are not all
 held at once.

@@ -326,10 +326,14 @@ class TestCli:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_overflow_exit_code(self, capsys):
-        # math.sinh in the slab endpoints overflows at this lambda
-        assert main(["grim", "--lambda", "3e5"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: numerical failure:") and err.count("\n") == 1
+        # math.sinh in the slab endpoints overflows at these lambdas (at c = 0
+        # from lambda = 2.0458e5); the message names the slab, not the bare
+        # "math range error" of math.sinh
+        for lam in ("3e5", "2.1e5"):
+            assert main(["grim", "--lambda", lam]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: numerical failure:") and err.count("\n") == 1
+            assert "slab endpoints overflow" in err and f"lambda = {float(lam):g}" in err
 
     @pytest.mark.parametrize("argv", [
         # numpy overflow: once warned, and ran on or exited 2 with a nan report

@@ -129,7 +129,8 @@ class TestGrimReaper:
             assert abs(tail.y[-1, 1]) == pytest.approx(math.log(families.GRIM_TAIL_SLOPE), rel=1e-9)
 
     def test_window_past_the_slab_overflow(self):
-        # math.sinh in the slab overflows from lam ~ 2.9e5: such a slab is
+        # math.sinh in the slab endpoints overflows at c = 0 from
+        # lam = 2.0458e5, where pi sqrt(lam)/2 passes 710.48: such a slab is
         # wider than any window, and the window lanes end at their span ends
         with pytest.raises(OverflowError):
             slab(1e6, 0.0)
@@ -179,15 +180,22 @@ class TestGrimReaper:
                                                       rel=1e-9)
         assert abs(prof.diagnostics["b_numeric"] - prof.diagnostics["slab"].b_endpoint) <= 1e-5
 
-    def test_half_stopped_off_the_pole_ends_at_its_last_sample(self):
-        # gamma' ~ 1e12 * theta passes GRIM_HANDOVER in the first step, so
-        # each half has only the seed (gamma' = 0) to hand over from, and
-        # keeps chart 1 alone
-        prof = solve_grim_reaper(GrimReaperParams(1e-12, 1e12), derived=False)
-        assert len(prof.trajectories) == 2
-        for i, half in enumerate(prof.trajectories):
-            assert half.termination == "blow_up"
-            assert prof.diagnostics[("a_numeric", "b_numeric")[i]] == half.t_end
+    def test_half_stopped_in_its_first_step_hands_over_at_the_stop(self):
+        # at lam = 1e-12, gamma' ~ tan(y)/sqrt(lam) passes GRIM_HANDOVER in
+        # the first step, so each half has only the seed (gamma' = 0) before
+        # its stop, and its tail starts at the located stop; the ends lie
+        # within 1e-9 of +-pi/2 (8.0e-13 here; 1.57 off when such a half kept
+        # chart 1 alone)
+        prof = solve_grim_reaper(GrimReaperParams(1e-12, 0.0), derived=False)
+        assert [tr.termination for tr in prof.trajectories] == ["blow_up"] * 4
+        down, up = prof.trajectories[:2]
+        assert len(down.t) == len(up.t) == 2
+        assert abs(prof.diagnostics["a_numeric"] + 0.5 * math.pi) <= 1e-9
+        assert abs(prof.diagnostics["b_numeric"] - 0.5 * math.pi) <= 1e-9
+        assert np.all(np.diff(prof.t) > 0)
+        # the handover sample is kept once, from chart 1
+        for head in (down, up):
+            assert np.count_nonzero(prof.t == head.t_end) == 1
 
     def test_tail_at_its_span_end_ends_short_of_the_pole(self):
         # at (4, 1e4) the upper tail reaches gamma = 1e10 (its span end)
@@ -200,11 +208,10 @@ class TestGrimReaper:
         assert up_tail.y[-1, 0] < prof.diagnostics["b_numeric"] < b - 1e4
 
     def test_blow_up_stop_belongs_to_the_right_hand_side(self):
-        # the grim lanes stop at GRIM_BLOW_UP, the neck lanes and a call with
+        # grim chart 1 stops at GRIM_HANDOVER, the neck lanes and a call with
         # no stop of its own at ode.BLOW_UP_THRESHOLD, the rotational and
         # helicoid lanes nowhere: y' = y^2, y(0) = 1 has its pole at t = 1
-        assert families.GRIM_BLOW_UP < ode.BLOW_UP_THRESHOLD
-        assert families._RHS_STOPS[families._grim_head_lanes] == (
+        assert families._RHS_STOPS[families._grim_lanes] == (
             ode.BLOW_UP_THRESHOLD, families.GRIM_HANDOVER)
         assert families._RHS_STOPS[families._grim_tail_lanes] == (
             math.inf, math.log(families.GRIM_TAIL_SLOPE))

@@ -271,6 +271,34 @@ class TestLanes:
             assert np.array_equal(gamma(ys), alone(ys))
             assert np.array_equal(gamma(0.3), alone(0.3))
 
+    def test_grim_reapers_and_windows_share_chart_1(self, monkeypatch):
+        # the windows join the call of chart 1 (and (1e-12, 0) hands over at
+        # its located stop), yet every lane comes out as when its job runs
+        # alone
+        grid = [GrimReaperParams(lam, c) for lam, c in ((0.5, 0.0), (4.0, 2.0), (1e-12, 0.0))]
+        lams, c = (10.0, 1e3, 1e6), 0.5
+        ys = np.linspace(-1.0, 1.0, 201)
+        [reapers_alone] = solve_jobs(grim_reapers_job(grid, rtol=1e-13, atol=1e-15))
+        [windows_alone] = solve_jobs(grim_windows_job(lams, c, 1.0))
+        calls = []
+        solve_ivp = ode.solve_ivp
+
+        def spy(rhs, *args, **kwargs):
+            calls.append(rhs)
+            return solve_ivp(rhs, *args, **kwargs)
+
+        monkeypatch.setattr(ode, "solve_ivp", spy)
+        reapers, windows = solve_jobs(grim_reapers_job(grid, rtol=1e-13, atol=1e-15),
+                                      grim_windows_job(lams, c, 1.0))
+        assert len(calls) == 2
+        for prof, alone in zip(reapers, reapers_alone):
+            for a, b in zip(prof.trajectories, alone.trajectories, strict=True):
+                same_trajectory(a, b)
+            for key, col in alone.data.items():
+                assert np.array_equal(prof.data[key], col), key
+        for gamma, alone in zip(windows, windows_alone):
+            assert np.array_equal(gamma(ys), alone(ys))
+
     def test_neck_lanes_match_single_solves(self):
         lams, f0, z_max = (1.0, 4.0, 2e3), 1.0, 0.5
         # the grid also reads |z| < 1e-4 finely, next to the apex where both

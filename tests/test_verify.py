@@ -96,16 +96,16 @@ def test_run_suite_solves_each_shared_profile_once(monkeypatch):
 
 
 def test_run_suite_makes_one_solve_per_right_hand_side_and_site(monkeypatch):
-    # one call per right-hand side: chart 1 of the grim grid and the shared
-    # grims, then their tails; the limit windows; the catenoid neck and the
-    # limit necks; the helicoid grid; and, after the necks, the tail, limit
-    # and axis bowls with the catenoid arms (25 calls when each lambda had
-    # its own, 10 when each site had its own)
+    # one call per right-hand side: chart 1 of the grim grid, the shared
+    # grims and the limit windows, then the grim tails; the catenoid neck and
+    # the limit necks; the helicoid grid; and, after the necks, the tail,
+    # limit and axis bowls with the catenoid arms (25 calls when each lambda
+    # had its own, 10 when each site had its own)
     calls, _ = lane_spy(monkeypatch)
     assert verify.run_suite("all")["passed"]
-    assert calls == [families._grim_head_lanes, families._grim_tail_lanes,
-                     families._grim_lanes, families._neck_lanes,
-                     families._helicoid_lanes, families._rotational_lanes]
+    assert calls == [families._grim_lanes, families._grim_tail_lanes,
+                     families._neck_lanes, families._helicoid_lanes,
+                     families._rotational_lanes]
 
 
 def test_slowest_grim_half_of_a_run_makes_at_most_220_attempts(monkeypatch):
@@ -125,4 +125,4 @@ def test_slowest_grim_half_of_a_run_makes_at_most_220_attempts(monkeypatch):
 
     monkeypatch.setattr(ode, "solve_ivp", spy)
     assert verify.run_suite("all")["passed"]
-    assert slowest[families._grim_head_lanes] + slowest[families._grim_tail_lanes] <= 220
+    assert slowest[families._grim_lanes] + slowest[families._grim_tail_lanes] <= 220

@@ -30,6 +30,8 @@ FAMILIES = [
     ["grim", "--c", "2", "--lambda", "4"],
     ["grim", "--c", "800"],
     ["grim", "--lambda", "16", "--c", "10"],
+    # each half hands over to its tail at the located stop of chart 1
+    ["grim", "--lambda", "1e-12"],
     ["bowl"],
     ["bowl", "--lambda", "9"],
     ["bowl", "--span", "1e6"],
